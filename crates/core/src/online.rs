@@ -3,11 +3,29 @@
 //! [`OnlineMonitor`] is the paper's deployment posture made concrete: each
 //! monitored node scores its own audit stream as it is produced. The
 //! monitor couples a configured (not yet started) [`Simulator`] to one
-//! [`IncrementalExtractor`] per monitored node (installed as that node's
-//! trace sink), advances the simulation in snapshot-sized steps, and runs
-//! every completed 140-feature snapshot through a trained
-//! [`AnomalyDetector`] the moment the snapshot finalises — raising alarms
-//! mid-run, with the sim-time detection latency recorded on each alarm.
+//! [`IncrementalExtractor`] per monitored node, advances the simulation in
+//! snapshot-sized steps, and runs every completed 140-feature snapshot
+//! through a trained [`AnomalyDetector`] — raising alarms mid-run, with
+//! the sim-time detection latency recorded on each alarm.
+//!
+//! # Two stages
+//!
+//! The simulator never calls an extractor. The monitored nodes' trace
+//! sinks append `(tap, event)` records to one event log, which is handed
+//! to the extraction stage in bounded chunks (their buffers recycled).
+//! At each 5 s boundary the stage advances every extractor to the clock
+//! and returns the rows that completed. With a thread budget of two or
+//! more ([`OnlineMonitor::with_parallelism`]) the stage runs on a scoped
+//! worker thread while the caller's thread simulates, so extraction
+//! overlaps simulation; with one thread the same stage runs inline at
+//! each hand-off. Either way the extractors see each node's events in the
+//! order they happened, so the rows are the same.
+//!
+//! The caller scores step *k*'s rows after it has simulated step *k + 1*.
+//! Each alarm still carries step *k*'s clock as `detected_at`, so series,
+//! alarms and alarm-sink calls are bit-identical and in the same order at
+//! every thread count; only in wall time does the alarm sink fire one
+//! step later.
 //!
 //! Unmonitored nodes get a [`NullSink`], so a long run's memory is bounded
 //! by the monitored nodes' sliding-window state: no full
@@ -18,13 +36,15 @@
 //! same run reproduces the monitor's decisions exactly.
 
 use crate::detector::{AnomalyDetector, Verdict};
+use crate::parallel::Parallelism;
 use cfa_ml::Classifier;
-use manet_features::{EqualFrequencyDiscretizer, IncrementalExtractor};
+use manet_features::{EqualFrequencyDiscretizer, IncrementalExtractor, SnapshotRow};
 use manet_sim::sink::NullSink;
-use manet_sim::{Agent, NodeId, SimTime, Simulator};
+use manet_sim::{Agent, AuditEvent, ForwardingSink, NodeId, SimTime, Simulator, TraceSink};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 
 /// An anomaly raised mid-simulation by an [`OnlineMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,10 +85,9 @@ pub struct MonitorReport {
     pub series: Vec<NodeScoreSeries>,
 }
 
-/// Per-node streaming state.
+/// Per-node scoring state.
 struct Tap {
     node: NodeId,
-    extractor: Rc<RefCell<IncrementalExtractor>>,
     /// Last `<= smoothing` raw scores, oldest first.
     recent: VecDeque<f64>,
     series: Vec<(f64, f64)>,
@@ -78,21 +97,196 @@ struct Tap {
 /// the closure type (see [`OnlineMonitor::with_alarm_sink`]).
 type AlarmSink<'a> = Box<dyn FnMut(&Alarm) + 'a>;
 
+/// An audit event of the monitored node with this tap index.
+type Tapped = (usize, AuditEvent);
+
+/// Completed rows of one hand-off: one list per tap, in tap order.
+type StepRows = Vec<Vec<SnapshotRow>>;
+
+/// Events per hand-off chunk: large enough that channel traffic is noise
+/// next to extraction, small enough that the worker starts on a step
+/// long before the simulator finishes it.
+const CHUNK_EVENTS: usize = 4096;
+
+/// Chunks queued for the worker before the simulator waits for it; with
+/// the chunk being filled, the one being ingested and the spares this
+/// bounds the event log's memory.
+const CHUNKS_QUEUED: usize = 4;
+
+/// Work for the extraction stage, in the order the simulator produced it.
+enum Job {
+    /// Monitored nodes' audit events, in the order they happened.
+    Events(Vec<Tapped>),
+    /// The clock reached this time: advance every extractor, return rows.
+    Advance(SimTime),
+    /// The run ended at this time: flush every extractor, return rows.
+    Finish(SimTime),
+}
+
+/// What a job leaves behind.
+enum Done {
+    /// The emptied buffer of an [`Job::Events`], for reuse.
+    Spent(Vec<Tapped>),
+    /// The rows an [`Job::Advance`] or [`Job::Finish`] completed.
+    Rows(StepRows),
+}
+
+/// The extraction stage: one incremental extractor per tap.
+struct Extract {
+    extractors: Vec<IncrementalExtractor>,
+}
+
+impl Extract {
+    /// Applies one job. The one step function of both thread modes.
+    fn apply_job(&mut self, job: Job) -> Done {
+        match job {
+            Job::Events(mut events) => {
+                for &(tap, event) in &events {
+                    let Some(x) = self.extractors.get_mut(tap) else {
+                        continue;
+                    };
+                    match event {
+                        AuditEvent::Packet(p) => x.packet(p.t, p.kind, p.dir),
+                        AuditEvent::Route(r) => x.route(r.t, r.kind, r.route_len),
+                        AuditEvent::Mobility(m) => x.mobility(m.t, m.velocity),
+                    }
+                }
+                events.clear();
+                Done::Spent(events)
+            }
+            Job::Advance(now) => Done::Rows(self.settle_and_drain(|x| x.advance_to(now))),
+            Job::Finish(end) => Done::Rows(self.settle_and_drain(|x| x.finish(end))),
+        }
+    }
+
+    fn settle_and_drain(&mut self, mut settle: impl FnMut(&mut IncrementalExtractor)) -> StepRows {
+        self.extractors
+            .iter_mut()
+            .map(|x| {
+                settle(x);
+                x.drain_rows()
+            })
+            .collect()
+    }
+
+    /// The worker thread's loop: jobs in, leftovers out, until the
+    /// simulator side hangs up.
+    fn serve_jobs(
+        mut self,
+        jobs: Receiver<Job>,
+        rows: Sender<StepRows>,
+        spent: Sender<Vec<Tapped>>,
+    ) {
+        for job in jobs {
+            let sent = match self.apply_job(job) {
+                Done::Spent(buf) => spent.send(buf).is_ok(),
+                Done::Rows(r) => rows.send(r).is_ok(),
+            };
+            if !sent {
+                return;
+            }
+        }
+    }
+}
+
+/// Where the event log hands its jobs.
+enum Link {
+    /// One thread: the stage runs inline at each hand-off.
+    Inline {
+        stage: Extract,
+        rows: VecDeque<StepRows>,
+    },
+    /// Two threads: the stage runs on a worker fed through channels.
+    Worker {
+        jobs: SyncSender<Job>,
+        rows: Receiver<StepRows>,
+        spent: Receiver<Vec<Tapped>>,
+    },
+    /// No stage: the run has not started, or the worker hung up (it
+    /// panicked). Jobs are dropped.
+    Closed,
+}
+
+/// The monitored nodes' shared event log, filled by their trace sinks.
+struct EventLog {
+    events: Vec<Tapped>,
+    /// Emptied buffers ready for reuse.
+    spare: Vec<Vec<Tapped>>,
+    link: Link,
+}
+
+impl EventLog {
+    fn log_event(&mut self, tap: usize, event: AuditEvent) {
+        self.events.push((tap, event));
+        if self.events.len() >= CHUNK_EVENTS {
+            self.ship_chunk();
+        }
+    }
+
+    /// Hands the buffered events to the stage.
+    fn ship_chunk(&mut self) {
+        if self.events.is_empty() {
+            return;
+        }
+        if let Link::Worker { spent, .. } = &self.link {
+            self.spare.extend(spent.try_iter());
+        }
+        let fresh = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(CHUNK_EVENTS));
+        let full = std::mem::replace(&mut self.events, fresh);
+        self.send_job(Job::Events(full));
+    }
+
+    fn send_job(&mut self, job: Job) {
+        match &mut self.link {
+            Link::Inline { stage, rows } => match stage.apply_job(job) {
+                Done::Spent(buf) => self.spare.push(buf),
+                Done::Rows(r) => rows.push_back(r),
+            },
+            Link::Worker { jobs, .. } => {
+                if jobs.send(job).is_err() {
+                    self.link = Link::Closed;
+                }
+            }
+            Link::Closed => {}
+        }
+    }
+
+    /// Flushes the buffered events, then hands over `job`.
+    fn hand_over(&mut self, job: Job) {
+        self.ship_chunk();
+        self.send_job(job);
+    }
+
+    /// The oldest rows not yet collected; `None` once the worker hung up.
+    fn next_rows(&mut self) -> Option<StepRows> {
+        match &mut self.link {
+            Link::Inline { rows, .. } => rows.pop_front(),
+            Link::Worker { rows, .. } => rows.recv().ok(),
+            Link::Closed => None,
+        }
+    }
+}
+
 /// Couples a running [`Simulator`] to per-node extractors and a trained
 /// detector; see the module docs.
 pub struct OnlineMonitor<'a, A: Agent, M> {
     sim: Simulator<A>,
+    log: Rc<RefCell<EventLog>>,
     detector: &'a AnomalyDetector<M>,
     discretizer: &'a EqualFrequencyDiscretizer,
     smoothing: usize,
+    parallelism: Parallelism,
     taps: Vec<Tap>,
     row_buf: Vec<u8>,
     /// Class-probability scratch reused across every scored snapshot.
     score_buf: Vec<f64>,
     alarms: Vec<Alarm>,
-    /// Optional live observer, invoked the moment each alarm is raised
-    /// (before the run finishes) — the hook a streaming front end uses to
-    /// push alarms to subscribers instead of waiting for the report.
+    /// Optional live observer, invoked as each alarm is raised (before
+    /// the run finishes) — the hook a streaming front end uses to push
+    /// alarms to subscribers instead of waiting for the report.
     sink: Option<AlarmSink<'a>>,
 }
 
@@ -101,8 +295,8 @@ pub const MONITOR_STEP_SECS: f64 = 5.0;
 
 impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
     /// Prepares a monitor over a configured, **not yet started** simulator.
-    /// Installs an incremental extractor as the trace sink of every node in
-    /// `monitored` and a [`NullSink`] on every other node.
+    /// Installs an event-log sink on every node in `monitored` and a
+    /// [`NullSink`] on every other node.
     ///
     /// # Panics
     ///
@@ -115,15 +309,20 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
         discretizer: &'a EqualFrequencyDiscretizer,
     ) -> OnlineMonitor<'a, A, M> {
         assert!(!monitored.is_empty(), "monitor at least one node");
+        let log = Rc::new(RefCell::new(EventLog {
+            events: Vec::with_capacity(CHUNK_EVENTS),
+            spare: Vec::new(),
+            link: Link::Closed,
+        }));
         let mut taps: Vec<Tap> = Vec::with_capacity(monitored.len());
         for i in 0..sim.config().n_nodes {
             let node = NodeId(i);
             if monitored.contains(&node) {
-                let extractor = Rc::new(RefCell::new(IncrementalExtractor::new()));
-                sim.set_sink(node, Box::new(extractor.clone()));
+                let (tap, log) = (taps.len(), Rc::clone(&log));
+                let sink = ForwardingSink::new(move |e| log.borrow_mut().log_event(tap, e));
+                sim.set_sink(node, Box::new(sink));
                 taps.push(Tap {
                     node,
-                    extractor,
                     recent: VecDeque::new(),
                     series: Vec::new(),
                 });
@@ -138,9 +337,11 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
         );
         OnlineMonitor {
             sim,
+            log,
             detector,
             discretizer,
             smoothing: 1,
+            parallelism: Parallelism::default(),
             taps,
             row_buf: Vec::new(),
             score_buf: Vec::new(),
@@ -156,11 +357,20 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
         self
     }
 
-    /// Installs a live alarm observer, called once per alarm at the moment
-    /// it is raised (in detection order, before [`OnlineMonitor::run`]
-    /// returns its report). The final [`MonitorReport`] still contains
-    /// every alarm; the sink is for streaming consumers that cannot wait
-    /// for the run to end.
+    /// Sets the thread budget. With two or more threads extraction runs
+    /// on one worker thread beside the simulator (more are not used);
+    /// with one it runs inline. The report is bit-identical either way.
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> OnlineMonitor<'a, A, M> {
+        self.parallelism = parallelism;
+        self
+    }
+
+    /// Installs a live alarm observer, called once per alarm as it is
+    /// raised (in detection order, before [`OnlineMonitor::run`] returns
+    /// its report). A step's alarms reach it once the next step has been
+    /// simulated; their `detected_at` is still the step's own clock. The
+    /// final [`MonitorReport`] still contains every alarm; the sink is for
+    /// streaming consumers that cannot wait for the run to end.
     pub fn with_alarm_sink(mut self, sink: impl FnMut(&Alarm) + 'a) -> OnlineMonitor<'a, A, M> {
         self.sink = Some(Box::new(sink));
         self
@@ -168,24 +378,65 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
 
     /// Runs the simulation to its configured duration, scoring snapshots
     /// as they finalise, and reports every alarm with its latency.
-    pub fn run(mut self) -> MonitorReport {
+    pub fn run(self) -> MonitorReport {
+        let stage = Extract {
+            extractors: self
+                .taps
+                .iter()
+                .map(|_| IncrementalExtractor::new())
+                .collect(),
+        };
+        if self.parallelism.n_threads() < 2 {
+            self.log.borrow_mut().link = Link::Inline {
+                stage,
+                rows: VecDeque::new(),
+            };
+            return self.drive();
+        }
+        std::thread::scope(|scope| {
+            let (jobs, jobs_rx) = mpsc::sync_channel(CHUNKS_QUEUED);
+            let (rows_tx, rows) = mpsc::channel();
+            let (spent_tx, spent) = mpsc::channel();
+            self.log.borrow_mut().link = Link::Worker { jobs, rows, spent };
+            let worker = scope.spawn(move || stage.serve_jobs(jobs_rx, rows_tx, spent_tx));
+            // `drive` consumes the monitor and with it the event log, so
+            // the job channel closes and the worker returns when the run
+            // ends or unwinds.
+            let report = self.drive();
+            match worker.join() {
+                Ok(()) => report,
+                // Re-raise the worker's own panic payload, as `map_chunks`
+                // does.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        })
+    }
+
+    /// The run itself: simulate step *k + 1*, then score step *k*. If the
+    /// worker hung up, no rows come back and `run` re-raises its panic.
+    fn drive(mut self) -> MonitorReport {
         let duration = self.sim.config().duration;
         let step = SimTime::from_secs(MONITOR_STEP_SECS);
+        // The clock of the step whose rows are still with the stage.
+        let mut in_flight: Option<f64> = None;
         while self.sim.now() < duration {
             let next = (self.sim.now() + step).min(duration);
             self.sim.run_until(next);
             let now = self.sim.now();
-            for tap in &mut self.taps {
-                tap.extractor.borrow_mut().advance_to(now);
+            self.log.borrow_mut().hand_over(Job::Advance(now));
+            if let Some(at) = in_flight.replace(now.as_secs()) {
+                self.score_next(at);
             }
-            self.score_ready(now.as_secs());
         }
         // Flush windows the watermark could not prove complete (e.g. the
-        // final snapshot's velocity winner).
-        for tap in &mut self.taps {
-            tap.extractor.borrow_mut().finish(duration);
+        // final snapshot's velocity winner). This is a hand-off of its
+        // own, scored after the last step's rows: merging the two would
+        // reorder alarms across taps.
+        self.log.borrow_mut().hand_over(Job::Finish(duration));
+        if let Some(at) = in_flight {
+            self.score_next(at);
         }
-        self.score_ready(duration.as_secs());
+        self.score_next(duration.as_secs());
         MonitorReport {
             alarms: self.alarms,
             series: self
@@ -199,12 +450,20 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
         }
     }
 
-    /// Scores whatever snapshots each tap has completed. Extractors are
-    /// independent, so draining tap-by-tap preserves the per-tap score
-    /// and alarm order of the batch pipeline.
-    fn score_ready(&mut self, now_secs: f64) {
-        for tap in &mut self.taps {
-            let rows = tap.extractor.borrow_mut().drain_rows();
+    /// Collects the stage's oldest rows, if the worker has not hung up,
+    /// and scores them as of `now_secs`.
+    fn score_next(&mut self, now_secs: f64) {
+        let rows = self.log.borrow_mut().next_rows();
+        if let Some(rows) = rows {
+            self.score_ready(rows, now_secs);
+        }
+    }
+
+    /// Scores one hand-off's rows tap by tap. Extractors are independent,
+    /// so this preserves the per-tap score and alarm order of the batch
+    /// pipeline.
+    fn score_ready(&mut self, rows: StepRows, now_secs: f64) {
+        for (tap, rows) in self.taps.iter_mut().zip(rows) {
             for row in rows {
                 self.discretizer
                     .transform_row_into(&row.values, &mut self.row_buf);
@@ -243,6 +502,7 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
 mod tests {
     use super::*;
     use crate::model::ScoreMethod;
+    use cfa_ml::naive_bayes::NaiveBayesModel;
     use cfa_ml::NaiveBayes;
     use manet_features::FeatureExtractor;
     use manet_sim::agent::FloodAgent;
@@ -284,7 +544,12 @@ mod tests {
     }
 
     fn sim_with_traffic(seed: u64, duration: f64) -> Simulator<FloodAgent> {
-        let cfg = SimConfig::builder()
+        sim_sampling_every(seed, duration, 5.0)
+    }
+
+    /// [`sim_with_traffic`] with mobility sampled every `interval` seconds.
+    fn sim_sampling_every(seed: u64, duration: f64, interval: f64) -> Simulator<FloodAgent> {
+        let mut cfg = SimConfig::builder()
             .nodes(8)
             .field(150.0, 150.0)
             .range(250.0)
@@ -292,6 +557,7 @@ mod tests {
             .base_loss(0.0)
             .seed(seed)
             .build();
+        cfg.mobility_sample_interval = SimTime::from_secs(interval);
         let mut sim = Simulator::new(cfg, |_| FloodAgent::new());
         sim.add_app(Box::new(Cbr {
             node: NodeId(0),
@@ -411,6 +677,69 @@ mod tests {
             .run();
         assert!(!report.alarms.is_empty(), "fixture must raise alarms");
         assert_eq!(streamed.into_inner(), report.alarms);
+    }
+
+    /// A detector trained on node 5 of a 120 s run whose threshold
+    /// passes only the top tenth of training scores, so most rows alarm.
+    fn loose_detector() -> (EqualFrequencyDiscretizer, AnomalyDetector<NaiveBayesModel>) {
+        let mut train_sim = sim_with_traffic(11, 120.0);
+        train_sim.run();
+        let m =
+            FeatureExtractor::new().extract(train_sim.trace(NodeId(5)), SimTime::from_secs(120.0));
+        let disc = EqualFrequencyDiscretizer::fit(&m, 5, None, 7);
+        let table = disc.transform(&m).expect("schema");
+        let det = AnomalyDetector::fit(
+            &NaiveBayes::default(),
+            &table,
+            ScoreMethod::AvgProbability,
+            0.9,
+        );
+        (disc, det)
+    }
+
+    #[test]
+    #[should_panic(expected = "subscriber gone")]
+    fn a_panicking_alarm_sink_unwinds_past_the_worker() {
+        // The panic leaves `run` while the worker waits for jobs: it must
+        // be released (the event log dropped), not joined forever.
+        let (disc, det) = loose_detector();
+        OnlineMonitor::new(sim_with_traffic(23, 60.0), &[NodeId(5)], &det, &disc)
+            .with_parallelism(Parallelism::threads(2))
+            .with_alarm_sink(|_| panic!("subscriber gone"))
+            .run();
+    }
+
+    #[test]
+    fn end_of_run_flush_is_scored_after_the_last_step_of_every_tap() {
+        // Mobility sampled every 3 s in a 25 s run: the last step settles
+        // each node's 20 s snapshot (its nearest sample is at 21 s), and
+        // only the end-of-run flush emits the 25 s one (24 s ties 26 s,
+        // which never comes). A loose threshold makes most rows alarm.
+        let duration = 25.0;
+        let (disc, det) = loose_detector();
+        let monitored: Vec<NodeId> = (0..8).map(NodeId).collect();
+        let run = |par: Parallelism| {
+            OnlineMonitor::new(
+                sim_sampling_every(23, duration, 3.0),
+                &monitored,
+                &det,
+                &disc,
+            )
+            .with_parallelism(par)
+            .run()
+        };
+        let report = run(Parallelism::serial());
+        assert_eq!(report, run(Parallelism::threads(2)));
+        let at_end: Vec<f64> = report
+            .alarms
+            .iter()
+            .filter(|a| a.detected_at == duration)
+            .map(|a| a.snapshot_time)
+            .collect();
+        let count = |t: f64| at_end.iter().filter(|&&s| s == t).count();
+        assert!(count(20.0) >= 2 && count(25.0) >= 2, "fixture: {at_end:?}");
+        // Every tap's last-step alarm precedes every tap's flushed one.
+        assert!(at_end.windows(2).all(|w| w[0] <= w[1]), "{at_end:?}");
     }
 
     #[test]

@@ -88,21 +88,20 @@ impl TimesBuf {
 
 /// Population standard deviation of consecutive inter-event intervals;
 /// zero when fewer than two intervals exist.
+///
+/// The intervals are recomputed for each of the two passes, so nothing
+/// is allocated per feature per snapshot. Both sums add the same values
+/// in the same order as sums over a collected `Vec`, which keeps the
+/// result bit-identical to one.
 pub(crate) fn interval_stddev(times: &[f64]) -> f64 {
     if times.len() < 3 {
         // Fewer than two intervals: no spread to measure.
         return 0.0;
     }
-    let intervals: Vec<f64> = times
-        .windows(2)
-        .filter_map(|w| {
-            let [a, b] = w else { return None };
-            Some(b - a)
-        })
-        .collect();
-    let n = intervals.len() as f64;
-    let mean = intervals.iter().sum::<f64>() / n;
-    let var = intervals.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n;
+    let intervals = || times.iter().zip(times.iter().skip(1)).map(|(a, b)| b - a);
+    let n = (times.len() - 1) as f64;
+    let mean = intervals().sum::<f64>() / n;
+    let var = intervals().map(|d| (d - mean).powi(2)).sum::<f64>() / n;
     var.sqrt()
 }
 
@@ -612,5 +611,41 @@ mod tests {
         let mut ext = IncrementalExtractor::new();
         ext.finish(SimTime::ZERO);
         assert!(ext.drain_rows().is_empty());
+    }
+
+    /// The allocating `interval_stddev` this crate shipped before it
+    /// summed the intervals in place, verbatim: the bit-identity oracle.
+    fn interval_stddev_collected(times: &[f64]) -> f64 {
+        if times.len() < 3 {
+            return 0.0;
+        }
+        let intervals: Vec<f64> = times
+            .windows(2)
+            .filter_map(|w| {
+                let [a, b] = w else { return None };
+                Some(b - a)
+            })
+            .collect();
+        let n = intervals.len() as f64;
+        let mean = intervals.iter().sum::<f64>() / n;
+        let var = intervals.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n;
+        var.sqrt()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn interval_stddev_is_bit_identical_to_the_collected_sum(
+            mut times in proptest::collection::vec(0.0f64..1000.0, 0..200),
+            sorted in proptest::bool::ANY,
+        ) {
+            if sorted {
+                times.sort_by(f64::total_cmp);
+            }
+            let got = interval_stddev(&times);
+            let want = interval_stddev_collected(&times);
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "times {:?}", times);
+        }
     }
 }

@@ -179,15 +179,9 @@ impl AodvAgent {
     }
 
     fn flush_buffer_for(&mut self, ctx: &mut Ctx<'_, AodvHeader>, dst: NodeId) {
-        let mut ready = Vec::new();
-        let mut i = 0;
-        while i < self.buffer.len() {
-            if self.buffer[i].dst == dst {
-                ready.push(self.buffer.remove(i));
-            } else {
-                i += 1;
-            }
-        }
+        // One order-preserving pass: the packets for `dst` leave in
+        // arrival order and the rest keep theirs.
+        let ready: Vec<Buffered> = self.buffer.extract_if(.., |b| b.dst == dst).collect();
         for b in ready {
             if !self.try_send_data(ctx, b.dst, b.size, b.data, false) {
                 ctx.trace_packet(TracePacketKind::DataTransit, Direction::Dropped);

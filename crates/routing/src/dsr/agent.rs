@@ -172,18 +172,9 @@ impl DsrAgent {
     }
 
     fn flush_buffer_for(&mut self, ctx: &mut Ctx<'_, DsrHeader>, dst: NodeId) {
-        let ready: Vec<Buffered> = {
-            let mut taken = Vec::new();
-            let mut i = 0;
-            while i < self.buffer.len() {
-                if self.buffer[i].dst == dst {
-                    taken.push(self.buffer.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            taken
-        };
+        // One order-preserving pass: the packets for `dst` leave in
+        // arrival order and the rest keep theirs.
+        let ready: Vec<Buffered> = self.buffer.extract_if(.., |b| b.dst == dst).collect();
         for b in ready {
             if !self.try_send_data(ctx, b.dst, b.size, b.data, false) {
                 // Route vanished again; drop rather than loop.

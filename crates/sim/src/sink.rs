@@ -17,8 +17,6 @@ use crate::time::SimTime;
 use crate::trace::{
     Direction, MobilitySample, NodeTrace, PacketEvent, RouteEvent, RouteEventKind, TracePacketKind,
 };
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// One audit observation, as routed through a [`TraceSink`].
 ///
@@ -95,24 +93,6 @@ impl TraceSink for NodeTrace {
     }
 }
 
-/// Shared sinks: lets a driver keep a handle to the sink while the
-/// simulator owns the other. This is how an online monitor taps a running
-/// simulation — it holds the `Rc` and drains completed snapshots between
-/// [`crate::Simulator::run_until`] steps.
-impl<S: TraceSink + ?Sized> TraceSink for Rc<RefCell<S>> {
-    fn packet(&mut self, t: SimTime, kind: TracePacketKind, dir: Direction) {
-        self.borrow_mut().packet(t, kind, dir);
-    }
-
-    fn route(&mut self, t: SimTime, kind: RouteEventKind, route_len: Option<u8>) {
-        self.borrow_mut().route(t, kind, route_len);
-    }
-
-    fn mobility(&mut self, t: SimTime, velocity: f64) {
-        self.borrow_mut().mobility(t, velocity);
-    }
-}
-
 /// A sink that forwards every observation to a subscriber callback as it
 /// occurs — the push end of the streaming pipeline.
 #[derive(Debug)]
@@ -180,6 +160,8 @@ impl TraceSink for NullSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn node_trace_is_a_sink() {
@@ -234,19 +216,6 @@ mod tests {
         );
         // Nothing to observe: NullSink holds no state.
         assert!(null.as_node_trace().is_none());
-    }
-
-    #[test]
-    fn shared_sink_taps_through_rc() {
-        let shared = Rc::new(RefCell::new(NodeTrace::new()));
-        let mut handle = shared.clone();
-        TraceSink::route(
-            &mut handle,
-            SimTime::from_secs(1.0),
-            RouteEventKind::Found,
-            None,
-        );
-        assert_eq!(shared.borrow().route_events.len(), 1);
     }
 
     #[test]

@@ -500,7 +500,8 @@ impl TrainedPipeline {
     ///
     /// The report's score series is bit-identical to
     /// [`TrainedPipeline::score_matrix`] over the batch bundle of the same
-    /// scenario, and its alarms carry sim-time detection latencies.
+    /// scenario, and its alarms carry sim-time detection latencies. The
+    /// monitor runs on the pipeline's thread budget.
     ///
     /// # Panics
     ///
@@ -512,6 +513,7 @@ impl TrainedPipeline {
             Protocol::Dsr => {
                 OnlineMonitor::new(scenario.build_dsr(), &monitored, &self.detector, &self.disc)
                     .with_smoothing(self.smoothing)
+                    .with_parallelism(self.parallelism)
                     .run()
             }
             Protocol::Aodv => OnlineMonitor::new(
@@ -521,6 +523,7 @@ impl TrainedPipeline {
                 &self.disc,
             )
             .with_smoothing(self.smoothing)
+            .with_parallelism(self.parallelism)
             .run(),
         }
     }
