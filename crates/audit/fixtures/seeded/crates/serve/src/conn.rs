@@ -1,4 +1,4 @@
-//! Seeded D011 violations: the response-queue guard held across socket
+//! Seeded D014 violations: the response-queue guard held across socket
 //! I/O in the connection loop, and a nested lock acquisition.
 
 /// Flushes queued frames while still holding the queue lock — every

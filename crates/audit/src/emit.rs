@@ -7,7 +7,7 @@ use crate::{Finding, Rule, Severity};
 use std::fmt::Write as _;
 
 /// Version string stamped into both report formats.
-pub const TOOL_VERSION: &str = "4.0.0";
+pub const TOOL_VERSION: &str = "5.0.0";
 
 /// Escapes `s` for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {

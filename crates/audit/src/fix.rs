@@ -20,6 +20,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use crate::body::Cursor;
 use crate::lexer::{lex, Token, TokenKind};
 use crate::{Finding, Rule};
 
@@ -62,12 +63,16 @@ pub fn apply_fixes(root: &Path, findings: &[Finding]) -> std::io::Result<FixOutc
             .into_iter()
             .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
             .collect();
+        let c = Cursor {
+            src: &src,
+            toks: &toks,
+        };
         let mut patches: Vec<Patch> = Vec::new();
         for f in &file_findings {
             match f.rule {
-                Rule::D003 => fix_d003(&src, &toks, f.line, &mut patches),
+                Rule::D003 => fix_d003(c, f.line, &mut patches),
                 Rule::D005 => fix_d005(&src, f.line, &mut patches),
-                Rule::D010 => fix_d010(&src, &toks, f, &mut patches),
+                Rule::D010 => fix_d010(c, f, &mut patches),
                 _ => {}
             }
         }
@@ -100,115 +105,76 @@ pub fn apply_fixes(root: &Path, findings: &[Finding]) -> std::io::Result<FixOutc
 /// Byte offset one past the last content byte of 1-based `line` (i.e.
 /// where a trailing comment would be inserted).
 fn line_end_offset(src: &str, line: usize) -> Option<usize> {
-    let mut current = 1usize;
-    let mut start = 0usize;
-    loop {
-        let end = src[start..]
-            .find('\n')
-            .map(|p| start + p)
-            .unwrap_or(src.len());
-        if current == line {
-            return Some(end);
+    let mut start = 0;
+    for (n, text) in src.split_inclusive('\n').enumerate() {
+        if n + 1 == line {
+            return Some(start + text.trim_end_matches('\n').len());
         }
-        if end == src.len() {
-            return None;
-        }
-        start = end + 1;
-        current += 1;
+        start += text.len();
     }
+    None
 }
 
 /// Walks a simple operand chain *backwards* from `i` (exclusive): a
 /// dotted identifier chain (`self.cfg.threshold`, `score`) or a single
 /// numeric literal. Returns the index of its first token, or `None` when
 /// the preceding expression is not simple.
-fn chain_start(src: &str, toks: &[Token], i: usize) -> Option<usize> {
+fn chain_start(c: Cursor<'_>, i: usize) -> Option<usize> {
     let mut j = i.checked_sub(1)?;
-    match toks[j].kind {
-        TokenKind::Num => return Some(j),
-        TokenKind::Ident => {}
-        _ => return None,
+    if c.toks[j].kind == TokenKind::Num {
+        return Some(j);
     }
-    loop {
-        let Some(dot) = j.checked_sub(1) else {
-            return Some(j);
-        };
-        if toks[dot].kind != TokenKind::Punct || toks[dot].text(src) != "." {
+    while c.is_ident(j) {
+        match j.checked_sub(1) {
+            Some(dot) if c.is_punct(dot, ".") => j = dot.checked_sub(1)?,
             // A `*`/`&`/call shape in front means the operand is not a
             // plain chain — refuse to fix.
-            if toks[dot].kind == TokenKind::Punct
-                && matches!(toks[dot].text(src), "*" | "&" | ")" | "]")
-            {
-                return None;
-            }
-            return Some(j);
+            Some(p) if ["*", "&", ")", "]"].iter().any(|s| c.is_punct(p, s)) => return None,
+            _ => return Some(j),
         }
-        let prev = dot.checked_sub(1)?;
-        if toks[prev].kind != TokenKind::Ident {
-            return None;
-        }
-        j = prev;
     }
+    None
 }
 
 /// Walks a simple operand chain *forwards* from `i` (inclusive); returns
 /// the index one past its last token.
-fn chain_end(src: &str, toks: &[Token], i: usize) -> Option<usize> {
-    match toks.get(i)?.kind {
-        TokenKind::Num => return Some(i + 1),
-        TokenKind::Ident => {}
-        _ => return None,
+fn chain_end(c: Cursor<'_>, i: usize) -> Option<usize> {
+    if c.toks.get(i)?.kind == TokenKind::Num {
+        return Some(i + 1);
     }
     let mut j = i;
-    loop {
-        let dot = j + 1;
-        if dot >= toks.len() || toks[dot].kind != TokenKind::Punct || toks[dot].text(src) != "." {
+    while c.is_ident(j) {
+        if !c.is_punct(j + 1, ".") {
             // A following `(` makes it a call — not a simple chain.
-            if dot < toks.len() && toks[dot].kind == TokenKind::Punct && toks[dot].text(src) == "("
-            {
-                return None;
-            }
-            return Some(j + 1);
+            return (!c.is_punct(j + 1, "(")).then_some(j + 1);
         }
-        let name = dot + 1;
-        if name >= toks.len() || toks[name].kind != TokenKind::Ident {
-            return None;
-        }
-        j = name;
+        j += 2;
     }
+    None
 }
 
 /// D003: rewrites a float `==`/`!=` on `line` to a `to_bits()` identity
 /// comparison when both operands are simple chains or literals. The
 /// lexer emits `==`/`!=` as two adjacent punct tokens (`=`+`=`, `!`+`=`)
 /// — matched here by byte adjacency.
-fn fix_d003(src: &str, toks: &[Token], line: usize, patches: &mut Vec<Patch>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.line != line || t.kind != TokenKind::Punct {
+fn fix_d003(c: Cursor<'_>, line: usize, patches: &mut Vec<Patch>) {
+    for (i, t) in c.toks.iter().enumerate() {
+        let op = if c.is_punct(i, "=") { "==" } else { "!=" };
+        if t.line != line
+            || !(c.is_punct(i, "=") || c.is_punct(i, "!"))
+            || !c.is_punct(i + 1, "=")
+            || c.toks[i + 1].start != t.end
+        {
             continue;
         }
-        let first = t.text(src);
-        if !matches!(first, "=" | "!") {
-            continue;
-        }
-        let Some(next) = toks.get(i + 1) else {
+        let (Some(lhs_start), Some(rhs_end)) = (chain_start(c, i), chain_end(c, i + 2)) else {
             continue;
         };
-        if next.kind != TokenKind::Punct || next.text(src) != "=" || next.start != t.end {
-            continue;
-        }
-        let op = if first == "=" { "==" } else { "!=" };
-        let Some(lhs_start) = chain_start(src, toks, i) else {
-            continue;
-        };
-        let Some(rhs_end) = chain_end(src, toks, i + 2) else {
-            continue;
-        };
-        let lhs = &src[toks[lhs_start].start..toks[i - 1].end];
-        let rhs = &src[toks[i + 2].start..toks[rhs_end - 1].end];
+        let lhs = &c.src[c.toks[lhs_start].start..c.toks[i - 1].end];
+        let rhs = &c.src[c.toks[i + 2].start..c.toks[rhs_end - 1].end];
         patches.push(Patch {
-            start: toks[lhs_start].start,
-            end: toks[rhs_end - 1].end,
+            start: c.toks[lhs_start].start,
+            end: c.toks[rhs_end - 1].end,
             replacement: format!("({lhs}).to_bits() {op} ({rhs}).to_bits()"),
         });
         return;
@@ -233,7 +199,7 @@ fn fix_d005(src: &str, line: usize, patches: &mut Vec<Patch>) {
 /// operand/target named in the finding note, and appends a justified
 /// `allow(D004)` so the introduced `expect` (a *deliberate*, loud
 /// failure) does not itself trip the panic rules on re-scan.
-fn fix_d010(src: &str, toks: &[Token], f: &Finding, patches: &mut Vec<Patch>) {
+fn fix_d010(c: Cursor<'_>, f: &Finding, patches: &mut Vec<Patch>) {
     // The note reads "`raw` (u64) truncated by `as u16`, …". Constant
     // overflows ("constant N does not fit …") are real bugs, not
     // mechanical rewrites — left to a human.
@@ -246,29 +212,26 @@ fn fix_d010(src: &str, toks: &[Token], f: &Finding, patches: &mut Vec<Patch>) {
         (Some(_), Some(op)) => op,
         _ => return,
     };
-    for (i, t) in toks.iter().enumerate() {
-        if t.line != f.line || t.kind != TokenKind::Ident || t.text(src) != "as" {
-            continue;
-        }
-        let (Some(op_at), Some(target_at)) = (i.checked_sub(1), Some(i + 1)) else {
+    for (i, t) in c.toks.iter().enumerate() {
+        let Some(op_at) = i.checked_sub(1) else {
             continue;
         };
-        if target_at >= toks.len()
-            || toks[op_at].kind != TokenKind::Ident
-            || toks[op_at].text(src) != operand
-            || toks[target_at].kind != TokenKind::Ident
+        if t.line != f.line
+            || !c.is_word(i, "as")
+            || !c.is_word(op_at, operand)
+            || !c.is_ident(i + 1)
         {
             continue;
         }
-        let target = toks[target_at].text(src);
+        let target = c.text(i + 1);
         patches.push(Patch {
-            start: toks[op_at].start,
-            end: toks[target_at].end,
+            start: c.toks[op_at].start,
+            end: c.toks[i + 1].end,
             replacement: format!(
                 "{target}::try_from({operand}).expect(\"audit(D010): {operand} out of {target} range\")"
             ),
         });
-        if let Some(eol) = line_end_offset(src, f.line) {
+        if let Some(eol) = line_end_offset(c.src, f.line) {
             patches.push(Patch {
                 start: eol,
                 end: eol,
@@ -308,7 +271,7 @@ mod tests {
         let src = "fn f(score: f64, threshold: f64) -> bool { score == threshold }\n";
         let toks = lex_code(src);
         let mut patches = Vec::new();
-        fix_d003(src, &toks, 1, &mut patches);
+        fix_d003(Cursor { src, toks: &toks }, 1, &mut patches);
         let fixed = apply(src, patches);
         assert!(
             fixed.contains("(score).to_bits() == (threshold).to_bits()"),
@@ -323,7 +286,7 @@ mod tests {
         let src = "fn f(s: &S) -> bool { s.cfg.threshold != 0.5 }\n";
         let toks = lex_code(src);
         let mut patches = Vec::new();
-        fix_d003(src, &toks, 1, &mut patches);
+        fix_d003(Cursor { src, toks: &toks }, 1, &mut patches);
         let fixed = apply(src, patches);
         assert!(
             fixed.contains("(s.cfg.threshold).to_bits() != (0.5).to_bits()"),
@@ -336,7 +299,7 @@ mod tests {
         let src = "fn f(v: &[f64]) -> bool { v.iter().sum::<f64>() == 1.0 }\n";
         let toks = lex_code(src);
         let mut patches = Vec::new();
-        fix_d003(src, &toks, 1, &mut patches);
+        fix_d003(Cursor { src, toks: &toks }, 1, &mut patches);
         assert!(patches.is_empty(), "call operands must not be rewritten");
     }
 
@@ -364,7 +327,7 @@ mod tests {
             severity: Rule::D010.severity(),
         };
         let mut patches = Vec::new();
-        fix_d010(src, &toks, &f, &mut patches);
+        fix_d010(Cursor { src, toks: &toks }, &f, &mut patches);
         let fixed = apply(src, patches);
         assert!(
             fixed.contains("u16::try_from(raw).expect(\"audit(D010): raw out of u16 range\")"),
@@ -389,7 +352,7 @@ mod tests {
             severity: Rule::D010.severity(),
         };
         let mut patches = Vec::new();
-        fix_d010(src, &toks, &f, &mut patches);
+        fix_d010(Cursor { src, toks: &toks }, &f, &mut patches);
         assert!(
             patches.is_empty(),
             "constant overflow is a bug, not a rewrite"

@@ -1,5 +1,5 @@
-//! The workspace call graph: name-based resolution of the call sites the
-//! [`parser`](crate::parser) mined, plus deterministic reachability.
+//! The workspace call graph: name-based resolution of the call ops the
+//! [`body`](crate::body) walker lowered, plus deterministic reachability.
 //!
 //! Resolution policy (conservative, zero type inference):
 //!
@@ -17,13 +17,16 @@
 //! * **Qualified calls** `Head::name(...)` resolve to `Head`'s method if
 //!   the workspace defines one, else to free functions named `name`
 //!   (module-qualified paths like `helpers::score`).
+//! * **Downstream workspaces** (`perfbench/`, which depends on this
+//!   workspace) never supply callees to code outside them.
 //!
 //! Calls that resolve to nothing are std/vendored-API calls and simply
 //! add no edges. Edges are deduplicated and sorted, and BFS visits in
 //! index order, so reachability and the recorded shortest call chains are
 //! byte-for-byte reproducible run to run.
 
-use crate::parser::{CallKind, FnDef};
+use crate::body::{CallKind, Op};
+use crate::parser::FnDef;
 use std::collections::BTreeMap;
 
 /// The resolved workspace call graph over all parsed functions.
@@ -32,6 +35,9 @@ pub struct CallGraph {
     pub fns: Vec<FnDef>,
     /// `edges[i]` = sorted, deduplicated callee indices of `fns[i]`.
     pub edges: Vec<Vec<usize>>,
+    /// `targets[i][k]` = candidate callees of the op `fns[i].ops[k]`
+    /// (empty unless it is a resolved call).
+    pub targets: Vec<Vec<Vec<usize>>>,
     /// Free functions by bare name (non-test only).
     free_by_name: BTreeMap<String, Vec<usize>>,
     /// Methods by bare name (non-test only).
@@ -39,6 +45,11 @@ pub struct CallGraph {
     /// Methods by `(owner, name)` (non-test only).
     methods_by_owner: BTreeMap<(String, String), Vec<usize>>,
 }
+
+/// Separate cargo workspaces inside the tree that depend on the main
+/// one (the benchmark harness): no main-workspace code can call into
+/// them, so their functions are never callees of functions outside them.
+const DOWNSTREAM_ROOTS: [&str; 1] = ["perfbench/"];
 
 /// Strips a workspace-relative path to its crate root (`crates/sim/` or
 /// `src/`), the granularity used for same-crate resolution preferences.
@@ -85,21 +96,24 @@ impl CallGraph {
         let mut g = CallGraph {
             fns,
             edges: Vec::new(),
+            targets: Vec::new(),
             free_by_name,
             methods_by_name,
             methods_by_owner,
         };
-        let mut edges: Vec<Vec<usize>> = Vec::with_capacity(g.fns.len());
         for (i, f) in g.fns.iter().enumerate() {
-            let mut out: Vec<usize> = Vec::new();
-            for call in &f.calls {
-                out.extend(g.resolve(i, &call.name, &call.kind));
-            }
+            let targets: Vec<Vec<usize>> = (f.ops.iter())
+                .map(|op| match op {
+                    Op::Call(c) => g.resolve(i, &c.name, &c.kind),
+                    _ => Vec::new(),
+                })
+                .collect();
+            let mut out: Vec<usize> = targets.iter().flatten().copied().collect();
             out.sort_unstable();
             out.dedup();
-            edges.push(out);
+            g.edges.push(out);
+            g.targets.push(targets);
         }
-        g.edges = edges;
         g
     }
 
@@ -109,7 +123,7 @@ impl CallGraph {
         let Some(f) = self.fns.get(caller) else {
             return Vec::new();
         };
-        match kind {
+        let mut out = match kind {
             CallKind::Free => {
                 let Some(cands) = self.free_by_name.get(name) else {
                     return Vec::new();
@@ -179,7 +193,14 @@ impl CallGraph {
                 }
             }
             CallKind::Macro => Vec::new(),
-        }
+        };
+        let downstream = |file: &str| DOWNSTREAM_ROOTS.iter().find(|r| file.starts_with(**r));
+        let own = downstream(&f.file);
+        out.retain(|&c| {
+            let theirs = self.fns.get(c).and_then(|g| downstream(&g.file));
+            theirs.is_none_or(|r| Some(r) == own)
+        });
+        out
     }
 
     /// Indices of non-test functions whose qualified name ends with any of
@@ -262,7 +283,7 @@ mod tests {
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
         let mut fns = Vec::new();
         for (rel, src) in files {
-            fns.extend(parse_file(rel, src, false));
+            fns.extend(parse_file(rel, src, &crate::lexer::lex(src), false));
         }
         CallGraph::build(fns)
     }
@@ -376,6 +397,28 @@ mod tests {
         )]);
         let parent = g.reachable(&g.roots(&["a"]));
         assert_eq!(g.chain(&parent, idx(&g, "c")), vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn downstream_workspace_methods_are_not_callees_of_the_main_tree() {
+        // `f64::max` in the traffic crate must not resolve to the
+        // benchmark harness's `Tracer::max`: perfbench depends on the
+        // workspace, never the other way round.
+        let g = graph_of(&[
+            (
+                "crates/traffic/src/cbr.rs",
+                "impl CbrSource { fn start(&mut self, a: f64) -> f64 { a.max(0.0) } }\n",
+            ),
+            (
+                "perfbench/src/trace.rs",
+                "impl Tracer { fn max(&mut self) { self.counters.entry(1); } \
+                 fn report(&mut self) { self.max(); } }\n",
+            ),
+        ]);
+        let parent = g.reachable(&g.roots(&["CbrSource::start"]));
+        assert!(parent[idx(&g, "Tracer::max")].is_none());
+        let parent = g.reachable(&g.roots(&["Tracer::report"]));
+        assert!(parent[idx(&g, "Tracer::max")].is_some());
     }
 
     #[test]

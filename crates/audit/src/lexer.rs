@@ -59,7 +59,7 @@ impl Token {
 }
 
 /// True for bytes that can continue an identifier.
-fn is_ident_continue(b: u8) -> bool {
+pub(crate) fn is_ident_continue(b: u8) -> bool {
     b == b'_' || b.is_ascii_alphanumeric()
 }
 
@@ -409,21 +409,20 @@ fn utf8_len(b: u8) -> usize {
     }
 }
 
-/// Per-line `(code, comment)` views of a file, reconstructed from the
-/// token stream: string literals collapse to `"`, char literals to `' '`,
-/// comments route to the comment channel, original spacing of everything
-/// else is preserved. This is the line-rule view of the source — the
-/// replacement for PR 3's per-line state machine.
-pub fn mask_lines(src: &str) -> Vec<(String, String)> {
+/// Per-line `(code, comment)` views of a file, reconstructed from its
+/// token stream (`tokens`, as [`lex`]ed from `src`): string literals
+/// collapse to `"`, char literals to `' '`, comments route to the comment
+/// channel, original spacing of everything else is preserved. This is
+/// the line-rule view of the source.
+pub fn mask_lines(src: &str, tokens: &[Token]) -> Vec<(String, String)> {
     let n_lines = src.lines().count().max(1);
     let mut code = vec![String::new(); n_lines];
     let mut comment = vec![String::new(); n_lines];
-    let tokens = lex(src);
     let bytes = src.as_bytes();
 
     let mut prev_end = 0usize;
     let mut cur_line = 0usize; // 0-based
-    for tok in &tokens {
+    for tok in tokens {
         // Replay inter-token whitespace, advancing the line counter.
         for &b in &bytes[prev_end..tok.start] {
             if b == b'\n' {
@@ -601,7 +600,8 @@ mod tests {
 
     #[test]
     fn mask_lines_routes_channels() {
-        let lines = mask_lines("let x = \"str // not comment\"; // real comment\n");
+        let src = "let x = \"str // not comment\"; // real comment\n";
+        let lines = mask_lines(src, &lex(src));
         assert_eq!(lines[0].0, "let x = \"; ");
         assert_eq!(lines[0].1, " real comment");
     }
@@ -609,14 +609,14 @@ mod tests {
     #[test]
     fn mask_lines_hides_raw_string_unwrap() {
         let src = "let s = r#\"don't .unwrap() here\"#;\n";
-        let lines = mask_lines(src);
+        let lines = mask_lines(src, &lex(src));
         assert!(!lines[0].0.contains("unwrap"));
     }
 
     #[test]
     fn mask_lines_multiline_comment_spans() {
         let src = "code1();\n/* audit: allow(D001, reason = \"x\")\nmore */\ncode2();\n";
-        let lines = mask_lines(src);
+        let lines = mask_lines(src, &lex(src));
         assert!(lines[1].1.contains("audit: allow"));
         assert_eq!(lines[3].0, "code2();");
     }

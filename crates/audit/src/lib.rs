@@ -1,41 +1,42 @@
 //! # cfa-audit
 //!
-//! A zero-dependency, four-layer static analyzer for the manet-cfa
-//! workspace: a **lexical** determinism lint (PR 3), an
-//! **interprocedural** reachability layer over a workspace call graph
-//! (PR 4), a per-function **dataflow** value-tracking pass (PR 8), and an
-//! interprocedural **taint** pass for untrusted network/CLI input plus a
-//! lock-acquisition graph (this PR). The repo's headline guarantees — PR 1's "bit-identical at
-//! any thread count" ensemble, PR 2's "batch == stream bit-for-bit"
-//! equivalence — rest on discipline the compiler does not enforce: one
+//! A zero-dependency static analyzer for the manet-cfa workspace with
+//! four rule layers: a **lexical** determinism lint, an
+//! **interprocedural** reachability layer over a workspace call graph, a
+//! per-function **value-lattice** pass, and an interprocedural **taint**
+//! pass for untrusted network/CLI input plus a lock-acquisition graph.
+//! The repo's headline guarantees — a "bit-identical at any thread
+//! count" ensemble, "batch == stream bit-for-bit" equivalence — rest on
+//! discipline the compiler does not enforce: one
 //! careless `HashMap` iteration, one wall-clock read, one reachable panic
 //! in the event loop, one per-event allocation in the "zero-alloc"
 //! predict path, and the reproducibility story silently rots. `cfa-audit`
 //! enforces it statically, with no `syn` (the crate registry is
 //! unreachable from the build hosts, so the analyzer is deliberately
-//! dependency-free): a hand-rolled [`lexer`] is the shared front end, an
-//! item [`parser`] extracts functions and call expressions, and a
-//! [`graph::CallGraph`] resolves them workspace-wide (name-based, with
-//! module/impl scoping, conservative on trait dispatch).
+//! dependency-free): a hand-rolled [`lexer`] tokenizes each file once for
+//! both the line rules and the item [`parser`], which extracts functions
+//! and lowers each body once, with the [`body`] walker, into the op
+//! stream every per-function rule queries; a [`graph::CallGraph`]
+//! resolves calls workspace-wide (name-based, with module/impl scoping,
+//! conservative on trait dispatch).
 //!
 //! ## Rules
 //!
 //! | ID   | Layer | What it flags | Where |
 //! |------|-------|---------------|-------|
 //! | D001 | lexical | unordered iteration over `HashMap`/`HashSet` (`.iter()`, `.keys()`, `.values()`, `.drain()`, `.retain()`, `for _ in &map`, …) | deterministic crates (sim, routing, traffic, attacks, features, core) and the root crate |
-//! | D002 | lexical | wall clock / OS entropy (`SystemTime`, `Instant::now`, `thread_rng`, `RandomState`) | everywhere except `crates/bench` |
+//! | D002 | lexical | wall clock / OS entropy (`SystemTime`, `Instant::now`, `thread_rng`, `RandomState`) | everywhere except `crates/bench` and `perfbench` |
 //! | D003 | lexical | `f64`/`f32` `==`/`!=` comparisons (use `to_bits()` or an epsilon) | non-test code |
 //! | D004 | lexical | `unwrap()`/`expect()` in library hot paths | non-test code of sim, routing, features |
 //! | D005 | lexical | bare `#[allow(...)]` without a justification comment | everywhere |
 //! | D006 | interprocedural | `panic!`/`unwrap`/`expect`/slice indexing transitively reachable from `Simulator::run`'s event dispatch or from `predict_row` | whole workspace |
 //! | D007 | interprocedural | a `self` field grown (`insert`/`push`/…) on the event path with no eviction/cap anywhere in the owning type | whole workspace |
 //! | D008 | interprocedural | allocation (`Vec::new`, `to_vec`, `clone`, `format!`, `collect`, …) reachable from the zero-alloc predict/score path | whole workspace |
-//! | D009 | dataflow | `f64` reduction (`sum::<f64>()`, float `fold`, `+=`) over parallel/chunked results without a documented canonical combine order | non-test code |
-//! | D010 | dataflow | truncating cast (`as u16`/`as u32`/…) on a tracked wide value (u64/u128/SimTime/…) in a function reachable from the panic/predict hot roots | whole workspace |
-//! | D011 | dataflow | guard held across direct stream I/O in the serving crate | `crates/serve` |
+//! | D009 | value lattice | `f64` reduction (`sum::<f64>()`, float `fold`, `+=`) over parallel/chunked results without a documented canonical combine order | non-test code |
+//! | D010 | value lattice | truncating cast (`as u16`/`as u32`/…) on a tracked wide value (u64/u128/SimTime/…) in a function reachable from the panic/predict hot roots | whole workspace |
 //! | D012 | taint | network/CLI-tainted value used as an allocation size (`with_capacity`, `reserve`, `resize`, …) without a dominating bound check | whole workspace |
 //! | D013 | taint | network/CLI-tainted value used in slice indexing or `wrapping_*`/`unchecked_*` arithmetic | whole workspace |
-//! | D014 | taint | lock-order violation: a cycle in the lock-acquisition graph, or a lock held across a call that reaches blocking stream I/O | `crates/serve` |
+//! | D014 | taint | lock-order violation: a cycle in the lock-acquisition graph, or a lock held across blocking stream I/O, made directly or through a call | `crates/serve` |
 //!
 //! ## Escape hatch
 //!
@@ -60,7 +61,7 @@
 //! trees.
 
 pub mod baseline;
-pub mod dataflow;
+pub mod body;
 pub mod emit;
 pub mod fix;
 pub mod graph;
@@ -101,8 +102,6 @@ pub enum Rule {
     D009,
     /// Truncating integer cast on a wide value on a hot path.
     D010,
-    /// Lock-discipline violation in the serving crate.
-    D011,
     /// Tainted value used as an allocation size without a bound check.
     D012,
     /// Tainted value used in indexing or unchecked/wrapping arithmetic.
@@ -125,7 +124,7 @@ pub enum Severity {
 
 impl Rule {
     /// Every rule, in id order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 13] = [
         Rule::D001,
         Rule::D002,
         Rule::D003,
@@ -136,7 +135,6 @@ impl Rule {
         Rule::D008,
         Rule::D009,
         Rule::D010,
-        Rule::D011,
         Rule::D012,
         Rule::D013,
         Rule::D014,
@@ -155,7 +153,6 @@ impl Rule {
             Rule::D008 => "D008",
             Rule::D009 => "D009",
             Rule::D010 => "D010",
-            Rule::D011 => "D011",
             Rule::D012 => "D012",
             Rule::D013 => "D013",
             Rule::D014 => "D014",
@@ -171,7 +168,7 @@ impl Rule {
     pub fn summary(self) -> &'static str {
         match self {
             Rule::D001 => "unordered iteration over HashMap/HashSet in a deterministic crate",
-            Rule::D002 => "wall-clock time or OS entropy outside crates/bench",
+            Rule::D002 => "wall-clock time or OS entropy outside crates/bench and perfbench",
             Rule::D003 => "f64/f32 == or != comparison outside tests",
             Rule::D004 => "unwrap()/expect() in sim/routing/features library code",
             Rule::D005 => "#[allow(...)] without a justification comment",
@@ -184,12 +181,11 @@ impl Rule {
                 "f64 reduction over parallel/chunked results without a documented combine order"
             }
             Rule::D010 => "truncating integer cast on a wide id/index/time value on a hot path",
-            Rule::D011 => "guard held across stream I/O in the serving crate",
             Rule::D012 => {
                 "tainted value used as an allocation size without a dominating bound check"
             }
             Rule::D013 => "tainted value used in slice indexing or wrapping/unchecked arithmetic",
-            Rule::D014 => "lock-order cycle or lock held across a call reaching blocking I/O",
+            Rule::D014 => "lock-order cycle or guard held across (a call reaching) blocking I/O",
         }
     }
 
@@ -197,7 +193,7 @@ impl Rule {
     pub fn hint(self) -> &'static str {
         match self {
             Rule::D001 => "use manet_sim::det::{DetMap, DetSet} (ordered iteration) or IndexedMap (hot lookups); if order provably cannot escape, annotate `// audit: allow(D001, reason = \"...\")`",
-            Rule::D002 => "derive all randomness from the scenario seed (SimRng streams) and all time from SimTime; benches belong in crates/bench",
+            Rule::D002 => "derive all randomness from the scenario seed (SimRng streams) and all time from SimTime; wall-clock measurement belongs in crates/bench or perfbench",
             Rule::D003 => "compare with f64::to_bits()/total_cmp for exact identity, or an explicit epsilon for tolerance",
             Rule::D004 => "restructure with let-else/match so malformed input degrades gracefully; a documented panic contract needs `// audit: allow(D004, reason = \"...\")`",
             Rule::D005 => "add a same-line or preceding-line comment explaining why the lint is suppressed",
@@ -206,10 +202,9 @@ impl Rule {
             Rule::D008 => "pre-size and reuse caller-owned buffers (scratch pattern); a cold-path or setup allocation needs `// audit: allow(D008, reason = \"...\")`",
             Rule::D009 => "make the combine order canonical (ordered left-fold over map_chunks output, joins in spawn order) and document it with `// audit: allow(D009, reason = \"...\")` stating why the order is thread-count invariant",
             Rule::D010 => "use `Target::try_from(x)` and handle the error (`cfa-audit --fix` rewrites simple sites), or document the range invariant with `// audit: allow(D010, reason = \"...\")`",
-            Rule::D011 => "drop the guard (`drop(g)`) before stream I/O; the Condvar wait loop is exempt by construction",
             Rule::D012 => "validate the value against a cap before sizing an allocation with it — compare against a limit, go through a validated newtype like FrameLen, or use try_into/checked ops; a proven bound needs `// audit: allow(D012, reason = \"...\")`",
             Rule::D013 => "bound-check the value before indexing (get()/get_mut() degrade gracefully) and replace wrapping/unchecked arithmetic on untrusted input with checked ops; a proven bound needs `// audit: allow(D013, reason = \"...\")`",
-            Rule::D014 => "acquire locks in one global order everywhere and drop every guard before calling anything that can block on a socket; an intentional ordering needs `// audit: allow(D014, reason = \"...\")`",
+            Rule::D014 => "acquire locks in one global order everywhere and drop every guard (`drop(g)`) before socket I/O or anything that can block on it — the Condvar wait loop is exempt by construction; an intentional ordering needs `// audit: allow(D014, reason = \"...\")`",
         }
     }
 
@@ -333,17 +328,13 @@ fn parse_allow(comment: &str, line: usize, standalone: bool) -> Option<Allow> {
     })
 }
 
-fn is_ident_char(c: u8) -> bool {
-    c == b'_' || c.is_ascii_alphanumeric()
-}
-
 /// Finds `needle` in `hay` preceded by a non-identifier character (or the
 /// start of the line).
 fn contains_token(hay: &str, needle: &str) -> bool {
     let mut start = 0;
     while let Some(pos) = hay[start..].find(needle) {
         let at = start + pos;
-        let ok_before = at == 0 || !is_ident_char(hay.as_bytes()[at - 1]);
+        let ok_before = at == 0 || !lexer::is_ident_continue(hay.as_bytes()[at - 1]);
         if ok_before {
             return true;
         }
@@ -360,7 +351,7 @@ fn ident_before(code: &str, pos: usize) -> Option<&str> {
         end -= 1;
     }
     let mut start = end;
-    while start > 0 && is_ident_char(bytes[start - 1]) {
+    while start > 0 && lexer::is_ident_continue(bytes[start - 1]) {
         start -= 1;
     }
     if start == end {
@@ -476,9 +467,9 @@ fn collect_float_bindings(code_lines: &[String]) -> Vec<String> {
             let at = search + pos;
             let after = code[at + 1..].trim_start();
             let is_float = ["f64", "f32"].iter().any(|t| {
-                after
-                    .strip_prefix(t)
-                    .is_some_and(|rest| rest.is_empty() || !is_ident_char(rest.as_bytes()[0]))
+                after.strip_prefix(t).is_some_and(|rest| {
+                    rest.is_empty() || !lexer::is_ident_continue(rest.as_bytes()[0])
+                })
             });
             if is_float {
                 if let Some(name) = ident_before(code, at) {
@@ -540,32 +531,31 @@ fn d003_hit(code: &str, float_names: &[String]) -> bool {
     false
 }
 
-/// The lexical analysis of one file: findings plus the context the
-/// interprocedural layer reuses (allows, raw lines).
-struct FileScan {
-    findings: Vec<Finding>,
-    /// `(rule, 0-based line)` pairs carrying a justified allow.
-    allowed_lines: Vec<(Rule, usize)>,
-}
-
 /// Scans one file's source text with the lexical rules (D001–D005).
 /// `rel` is the workspace-relative path with forward slashes; it selects
 /// which rules apply.
 pub fn scan_source(rel: &str, source: &str) -> Vec<Finding> {
-    scan_source_inner(rel, source).findings
+    scan_source_inner(rel, source, &lexer::lex(source)).0
 }
 
-fn scan_source_inner(rel: &str, source: &str) -> FileScan {
+/// [`scan_source`] over the file's already-lexed `tokens`, also returning
+/// the context the graph rules reuse (allows, raw lines).
+fn scan_source_inner(
+    rel: &str,
+    source: &str,
+    tokens: &[lexer::Token],
+) -> (Vec<Finding>, interproc::FileCtx) {
     let mut findings = Vec::new();
     let in_det_crate = is_under(rel, &DETERMINISTIC_ROOTS);
     let in_hot_crate = is_under(rel, &HOT_PATH_ROOTS);
-    let in_bench = rel.starts_with("crates/bench/");
+    // Measuring wall time is the benchmarks' job.
+    let in_bench = rel.starts_with("crates/bench/") || rel.starts_with("perfbench/");
     let file_is_test = is_test_path(rel);
 
     // Front end: the real lexer splits every line into code and comment
     // channels (raw strings, nested block comments, lifetimes and char
     // literals all handled by `lexer::lex`).
-    let masked = lexer::mask_lines(source);
+    let masked = lexer::mask_lines(source, tokens);
     let mut code_lines: Vec<String> = Vec::with_capacity(masked.len());
     let mut comments: Vec<String> = Vec::with_capacity(masked.len());
     let mut allows: Vec<Allow> = Vec::new();
@@ -594,8 +584,9 @@ fn scan_source_inner(rel: &str, source: &str) -> FileScan {
             }
         }
     }
-    let allowed = |rule: Rule, line: usize| -> bool {
-        allowed_lines.iter().any(|&(r, l)| r == rule && l == line)
+    let ctx = interproc::FileCtx {
+        lines: source.lines().map(str::to_string).collect(),
+        allowed: allowed_lines,
     };
 
     // Malformed allows are findings in their own right: the escape hatch
@@ -613,7 +604,7 @@ fn scan_source_inner(rel: &str, source: &str) -> FileScan {
             rule,
             file: rel.to_string(),
             line: a.line + 1,
-            snippet: source.lines().nth(a.line).unwrap_or("").trim().to_string(),
+            snippet: ctx.snippet(a.line + 1),
             note: Some(note.to_string()),
             severity: rule.severity(),
         });
@@ -621,18 +612,8 @@ fn scan_source_inner(rel: &str, source: &str) -> FileScan {
 
     for (idx, code) in code_lines.iter().enumerate() {
         let in_test = file_is_test || idx >= test_tail_start;
-        let raw_snippet = || source.lines().nth(idx).unwrap_or("").trim().to_string();
         let push = |rule: Rule, findings: &mut Vec<Finding>| {
-            if !allowed(rule, idx) {
-                findings.push(Finding {
-                    rule,
-                    file: rel.to_string(),
-                    line: idx + 1,
-                    snippet: raw_snippet(),
-                    note: None,
-                    severity: rule.severity(),
-                });
-            }
+            findings.extend(ctx.finding(rule, rel, idx + 1, None));
         };
 
         if in_det_crate && !in_test && d001_hit(code, &hash_names) {
@@ -649,21 +630,13 @@ fn scan_source_inner(rel: &str, source: &str) -> FileScan {
         }
         if code.contains("#[allow(") || code.contains("#![allow(") {
             let comment_here = !comments[idx].trim().is_empty();
-            let comment_above = idx > 0
-                && source
-                    .lines()
-                    .nth(idx - 1)
-                    .map(|l| l.trim_start().starts_with("//"))
-                    .unwrap_or(false);
+            let comment_above = idx > 0 && ctx.lines[idx - 1].trim_start().starts_with("//");
             if !comment_here && !comment_above {
                 push(Rule::D005, &mut findings);
             }
         }
     }
-    FileScan {
-        findings,
-        allowed_lines,
-    }
+    (findings, ctx)
 }
 
 /// Recursively collects the `.rs` files under `root`, skipping build
@@ -700,23 +673,13 @@ pub struct ScanStats {
     pub functions: usize,
 }
 
-/// Per-file output of the parallel scan phase, merged in input order.
-struct FileResult {
-    rel: String,
-    lines: usize,
-    findings: Vec<Finding>,
-    fns: Vec<parser::FnDef>,
-    ctx: interproc::FileCtx,
-    err: Option<std::io::Error>,
-}
-
 /// Scans every `.rs` file under `root` (a workspace checkout) with all
-/// four layers — the lexical rules per file, the dataflow pass per
-/// function body, then the interprocedural reachability and taint rules
-/// over the workspace call graph — and returns all findings (ordered by
-/// file, line, then rule) plus scan-size statistics.
+/// four layers — the lexical rules per file, then the interprocedural,
+/// value-lattice and taint rules over the workspace call graph and each
+/// function's op stream — and returns all findings (ordered by file,
+/// line, then rule) plus scan-size statistics.
 ///
-/// The per-file phase (read + lex + parse + line rules) fans out over
+/// The per-file phase (read + lex once + parse + line rules) fans out over
 /// `threads` scoped threads via [`par::map_chunks`]; results are merged
 /// in input order and the graph phases stay serial, so the output is
 /// byte-identical at every thread count.
@@ -727,60 +690,33 @@ pub fn scan_tree_with_stats_at(
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
     let per_file = par::map_chunks(threads, files.len(), |range| {
-        let mut out = Vec::with_capacity(range.len());
-        for i in range {
-            let path = &files[i];
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let source = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    out.push(FileResult {
-                        rel,
-                        lines: 0,
-                        findings: Vec::new(),
-                        fns: Vec::new(),
-                        ctx: interproc::FileCtx {
-                            lines: Vec::new(),
-                            allowed: Vec::new(),
-                        },
-                        err: Some(e),
-                    });
-                    continue;
-                }
-            };
-            let scan = scan_source_inner(&rel, &source);
-            let fns = parser::parse_file(&rel, &source, is_test_path(&rel));
-            out.push(FileResult {
-                lines: source.lines().count(),
-                findings: scan.findings,
-                fns,
-                ctx: interproc::FileCtx {
-                    lines: source.lines().map(str::to_string).collect(),
-                    allowed: scan.allowed_lines,
-                },
-                rel,
-                err: None,
-            });
-        }
-        out
+        range
+            .map(|i| -> std::io::Result<_> {
+                let path = &files[i];
+                let rel = path
+                    .strip_prefix(root)
+                    .unwrap_or(path)
+                    .to_string_lossy()
+                    .replace('\\', "/");
+                let source = std::fs::read_to_string(path)?;
+                let tokens = lexer::lex(&source);
+                let (findings, ctx) = scan_source_inner(&rel, &source, &tokens);
+                let fns = parser::parse_file(&rel, &source, &tokens, is_test_path(&rel));
+                Ok((rel, findings, fns, ctx))
+            })
+            .collect()
     });
     let mut findings = Vec::new();
     let mut fns: Vec<parser::FnDef> = Vec::new();
     let mut contexts: BTreeMap<String, interproc::FileCtx> = BTreeMap::new();
     let mut stats = ScanStats::default();
     for file in per_file {
-        if let Some(e) = file.err {
-            return Err(e);
-        }
+        let (rel, file_findings, file_fns, ctx) = file?;
         stats.files += 1;
-        stats.lines += file.lines;
-        findings.extend(file.findings);
-        fns.extend(file.fns);
-        contexts.insert(file.rel, file.ctx);
+        stats.lines += ctx.lines.len();
+        findings.extend(file_findings);
+        fns.extend(file_fns);
+        contexts.insert(rel, ctx);
     }
     stats.functions = fns.len();
     let graph = graph::CallGraph::build(fns);
@@ -797,14 +733,10 @@ pub fn scan_tree_with_stats_at(
     Ok((findings, stats))
 }
 
-/// [`scan_tree_with_stats_at`] on a single thread.
-pub fn scan_tree_with_stats(root: &Path) -> std::io::Result<(Vec<Finding>, ScanStats)> {
-    scan_tree_with_stats_at(root, 1)
-}
-
-/// [`scan_tree_with_stats`] without the statistics.
+/// [`scan_tree_with_stats_at`] on a single thread, without the
+/// statistics.
 pub fn scan_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
-    scan_tree_with_stats(root).map(|(findings, _)| findings)
+    scan_tree_with_stats_at(root, 1).map(|(findings, _)| findings)
 }
 
 #[cfg(test)]

@@ -11,11 +11,10 @@
 //! cargo run -p cfa-audit -- --no-baseline       # strict: ignore the baseline
 //! cargo run -p cfa-audit -- --rules             # print the rule table
 //! cargo run -p cfa-audit -- <path> --fix        # apply mechanical fixes in place
-//! cargo run -p cfa-audit -- --threads 4         # scan on 4 worker threads
 //! ```
 //!
-//! `--threads` only changes wall time: the report is byte-identical for
-//! every thread count (default: all cores).
+//! The scan runs on every core; the report is byte-identical at any
+//! thread count.
 //!
 //! `--fix` rewrites the mechanical rules (D003 float equality →
 //! `to_bits()`, D005 bare allow → justification template, D010
@@ -53,7 +52,7 @@ enum Format {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cfa-audit [<root>] [--format text|json|sarif] [--baseline <path>] \
-         [--no-baseline] [--update-baseline] [--rules] [--fix] [--threads N]"
+         [--no-baseline] [--update-baseline] [--rules] [--fix]"
     );
     ExitCode::FAILURE
 }
@@ -65,7 +64,6 @@ fn main() -> ExitCode {
     let mut no_baseline = false;
     let mut update_baseline = false;
     let mut fix = false;
-    let mut threads: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -90,10 +88,6 @@ fn main() -> ExitCode {
             "--no-baseline" => no_baseline = true,
             "--update-baseline" => update_baseline = true,
             "--fix" => fix = true,
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => threads = Some(n),
-                _ => return usage(),
-            },
             flag if flag.starts_with("--") => return usage(),
             path => {
                 if root.replace(PathBuf::from(path)).is_some() {
@@ -104,10 +98,8 @@ fn main() -> ExitCode {
     }
     let root = root.unwrap_or_else(workspace_root);
     // Reports are byte-identical for every thread count (the
-    // `map_chunks` contract), so defaulting to all cores is safe.
-    let threads = threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
+    // `map_chunks` contract), so the scan uses all cores.
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     // audit: allow(D002, reason = "measures the scan's own wall time for the stderr footer; never feeds scoring or simulation")
     let scan_started = std::time::Instant::now();

@@ -9,140 +9,33 @@
 //! newtype like `FrameLen` — before it may size an allocation (D012) or
 //! index a slice / feed wrapping arithmetic (D013).
 //!
-//! Mining happens at parse time ([`mine`]) because tokens are file-local
-//! and dropped after parsing: each function body is lowered into a small
-//! straight-line IR of [`TaintOp`]s (assignments with their source
-//! identifiers, bound checks, calls with per-argument identifier lists,
-//! sinks, returns). The interprocedural fixpoint in [`check`] then
-//! propagates taint through the workspace call graph — argument →
-//! parameter binding, return values, and `read(&mut buf)`-style
-//! out-parameters — using the same conservative resolution as D006
-//! ([`CallGraph::resolve`]). Findings carry the full source → sink call
-//! chain, like D006 panic-reachability notes.
+//! The fixpoint in [`check`] reads each function's op stream (see
+//! [`body`](crate::body)): binds carry the identifiers their initializers
+//! read, conditions carry their bound checks, and calls carry
+//! per-argument identifier lists. Taint propagates through the workspace
+//! call graph — argument → parameter binding, return values, and
+//! `read(&mut buf)`-style out-parameters — using the same conservative
+//! resolution as D006 ([`CallGraph::resolve`]). Findings carry the full
+//! source → sink call chain, like D006 panic-reachability notes.
 //!
-//! D014 is the lock-discipline half: the dataflow pass records every
-//! lock acquisition with the identities already held
-//! ([`crate::dataflow::LockAcq`]) and every call made under a live guard
-//! ([`crate::dataflow::GuardedCall`]). This layer builds the
-//! lock-acquisition-order graph over `crates/serve`, flags any
-//! acquisition that closes a cycle (the classic AB/BA deadlock), and
-//! flags a guard held across a call that transitively reaches blocking
-//! socket I/O (`accept`/`read`/`write` family) — the interprocedural
-//! generalisation of D011, which keeps only the direct-I/O-under-guard
-//! case.
+//! D014 is the lock-discipline half. From the lock facts of
+//! [`interproc::flow`](crate::interproc::flow) — every acquisition with
+//! the identities already held, every call made under a live guard —
+//! this layer builds the lock-acquisition-order graph over
+//! `crates/serve` and flags any acquisition that closes a cycle (the
+//! classic AB/BA deadlock), and any guard held across a blocking socket
+//! call (`accept`/`read`/`write` family), made directly or through a
+//! chain of calls.
 //!
 //! Suppression: `// audit: allow(D012, reason = "...")` at the sink (or
 //! the line above), same as every other rule.
 
+use crate::body::{Call, CallKind, Op, Store};
 use crate::graph::CallGraph;
-use crate::interproc::{render_chain, FileCtx};
-use crate::lexer::{Token, TokenKind};
-use crate::parser::CallKind;
+use crate::interproc::{flow, render_chain, FileCtx};
+use crate::parser::FnDef;
 use crate::{Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// What kind of dangerous operation a tainted value reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SinkKind {
-    /// Allocation sized by the value (`with_capacity`, `reserve`,
-    /// `resize`, `vec![x; n]`).
-    AllocSize,
-    /// Slice/array indexing with the value.
-    Index,
-    /// Wrapping or unchecked arithmetic on the value.
-    Arith,
-}
-
-/// One operation in the per-function taint IR, in source order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaintOp {
-    /// `let dst = …;` / `dst = …;` / `dst op= …;`. `srcs` are the
-    /// identifiers read by the initializer, `source` is `Some` when the
-    /// initializer calls a taint source directly (`env::args()`),
-    /// `sanitized` when it passes through a recognized sanitizer, and
-    /// `calls` are the op indices of `Call` ops mined from the same
-    /// initializer (for return-value taint).
-    Assign {
-        /// Bound or assigned name (field stores bind the field name).
-        dst: String,
-        /// Identifiers the initializer reads.
-        srcs: Vec<String>,
-        /// Source description when the initializer is itself a source.
-        source: Option<String>,
-        /// True when the initializer passes a sanitizer.
-        sanitized: bool,
-        /// Op indices of `Call` ops inside the initializer.
-        calls: Vec<usize>,
-        /// 1-based source line.
-        line: usize,
-    },
-    /// An identifier compared in an `if`/`while` condition — a dominating
-    /// bound check, which clears its taint downstream.
-    Check {
-        /// The checked identifier.
-        name: String,
-    },
-    /// An out-parameter filled from a read-family source call
-    /// (`stream.read(&mut buf)` taints `buf`).
-    SourceFill {
-        /// The identifier the read fills.
-        dst: String,
-        /// Human description of the source.
-        desc: String,
-    },
-    /// A call expression with per-argument identifier lists, for
-    /// argument → parameter taint binding.
-    Call {
-        /// Callee name (last path segment / method name).
-        name: String,
-        /// Call shape, for graph resolution.
-        kind: CallKind,
-        /// Identifiers appearing in each argument position.
-        args: Vec<Vec<String>>,
-        /// 1-based source line.
-        line: usize,
-    },
-    /// A dangerous operation consuming identifiers.
-    Sink {
-        /// Which kind of sink.
-        kind: SinkKind,
-        /// Display form (`with_capacity()`, `index []`).
-        what: String,
-        /// Identifiers feeding the sink.
-        names: Vec<String>,
-        /// 1-based source line.
-        line: usize,
-    },
-    /// A `return expr;` or trailing expression — the identifiers whose
-    /// taint escapes through the return value.
-    Return {
-        /// Identifiers in the returned expression.
-        names: Vec<String>,
-    },
-}
-
-/// The taint IR of one function body.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FnTaint {
-    /// Ops in source order.
-    pub ops: Vec<TaintOp>,
-}
-
-/// Keywords that look like call heads but are not calls.
-const NON_CALL_KEYWORDS: [&str; 10] = [
-    "if", "while", "for", "match", "loop", "return", "fn", "move", "else", "in",
-];
-
-/// Keywords allowed before `[` without making it an index expression.
-const NON_INDEX_KEYWORDS: [&str; 12] = [
-    "let", "in", "mut", "ref", "return", "if", "else", "match", "loop", "while", "for", "box",
-];
-
-/// Identifiers never collected as taint carriers.
-const IDENT_SKIP: [&str; 22] = [
-    "mut", "ref", "as", "in", "if", "else", "match", "return", "let", "move", "self", "Some",
-    "None", "Ok", "Err", "true", "false", "box", "loop", "while", "for", "break",
-];
 
 /// Read-family methods whose `&mut` argument is filled with untrusted
 /// bytes when called in a source crate.
@@ -164,560 +57,90 @@ const ALLOC_SIZE_METHODS: [&str; 6] = [
     "set_len",
 ];
 
+/// Method calls that block on a socket. Consulted only for the serving
+/// crate, where `read`/`write`/`accept` receivers are streams and
+/// listeners.
+const BLOCKING_METHODS: [&str; 12] = [
+    "write_all",
+    "read_exact",
+    "flush",
+    "read_to_end",
+    "read_to_string",
+    "write_fmt",
+    "write_vectored",
+    "read",
+    "write",
+    "accept",
+    "incoming",
+    "connect",
+];
+
+/// Whether a call blocks on a socket.
+fn blocking(c: &Call) -> bool {
+    matches!(c.kind, CallKind::Method { .. }) && BLOCKING_METHODS.contains(&c.name.as_str())
+}
+
 /// Validated-newtype constructors that launder taint by construction.
 /// `FrameLen::parse` rejects any length over the frame cap, so a value
 /// that came through it is bounded.
 const SANITIZER_TYPES: [&str; 1] = ["FrameLen"];
 
-/// Lowers one function body to taint IR. `rel` decides whether source
-/// seeding applies: only the serving crate, the bench crate, and the
-/// fleet driver under `src/` receive untrusted input by design — the
-/// audit tool's own file reads must not taint themselves.
-pub fn mine(
-    src: &str,
-    toks: &[Token],
-    body: (usize, usize),
-    rel: &str,
-    _params: &[String],
-) -> FnTaint {
-    let seed = rel.starts_with("crates/serve/")
-        || rel.starts_with("crates/bench/")
-        || rel.starts_with("src/");
-    let mut m = Miner {
-        src,
-        toks,
-        ops: Vec::new(),
-        seed,
+/// Whether sources are seeded in `rel`: only the serving crate, the
+/// bench crate, and the fleet driver under `src/` receive untrusted
+/// input by design — the audit tool's own file reads must not taint
+/// themselves.
+fn seeds(rel: &str) -> bool {
+    rel.starts_with("crates/serve/") || rel.starts_with("crates/bench/") || rel.starts_with("src/")
+}
+
+/// The direct untrusted-input source a call is, if any (`env::args()`,
+/// `fs::read_to_string(..)`).
+fn source(c: &Call) -> Option<String> {
+    let CallKind::Qualified { head } = &c.kind else {
+        return None;
     };
-    m.walk(body.0, body.1);
-    m.trailing_return(body.0, body.1);
-    FnTaint { ops: m.ops }
+    let name = c.name.as_str();
+    let hit = (head == "env" && matches!(name, "args" | "args_os" | "var" | "var_os"))
+        || (head == "fs" && matches!(name, "read" | "read_to_string"));
+    hit.then(|| format!("{head}::{name}()"))
 }
 
-struct Miner<'s, 't> {
-    src: &'s str,
-    toks: &'t [Token],
-    ops: Vec<TaintOp>,
-    seed: bool,
+/// Whether a call sanitizes the value it produces: `try_into`/`try_from`,
+/// `checked_*` arithmetic, `.min(cap)`/`clamp`, and validated-newtype
+/// constructors (`FrameLen::…`).
+fn sanitizes(c: &Call) -> bool {
+    let name = c.name.as_str();
+    matches!(name, "try_into" | "try_from" | "clamp")
+        || name.starts_with("checked_")
+        || (name == "min" && matches!(c.kind, CallKind::Method { .. }))
+        || matches!(&c.kind, CallKind::Qualified { head } if SANITIZER_TYPES.contains(&head.as_str()))
 }
 
-impl Miner<'_, '_> {
-    fn text(&self, i: usize) -> &str {
-        self.toks[i].text(self.src)
+/// The sinks a call feeds, with the identifiers feeding each: allocation
+/// sizes (D012, including `vec![init; len]`) and wrapping/unchecked
+/// arithmetic (D013).
+fn call_sinks(c: &Call) -> Vec<(Rule, String, Vec<String>)> {
+    let mut out = Vec::new();
+    let what = || format!("{}()", c.name);
+    let args = || c.args.iter().flatten().cloned();
+    if ALLOC_SIZE_METHODS.contains(&c.name.as_str()) {
+        out.push((Rule::D012, what(), args().collect::<Vec<_>>()));
     }
-
-    fn is_punct(&self, i: usize, p: &str) -> bool {
-        i < self.toks.len() && self.toks[i].kind == TokenKind::Punct && self.text(i) == p
+    if let (CallKind::Macro, "vec", [_, len]) = (&c.kind, c.name.as_str(), &c.args[..]) {
+        out.push((Rule::D012, String::from("vec![_; n]"), len.clone()));
     }
-
-    fn is_ident_at(&self, i: usize, id: &str) -> bool {
-        i < self.toks.len() && self.toks[i].kind == TokenKind::Ident && self.text(i) == id
-    }
-
-    fn ident_kind(&self, i: usize) -> bool {
-        i < self.toks.len() && self.toks[i].kind == TokenKind::Ident
-    }
-
-    /// Index one past the `)` matching the `(` at `open`.
-    fn matching_paren(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < end {
-            if self.is_punct(i, "(") {
-                depth += 1;
-            } else if self.is_punct(i, ")") {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        end
-    }
-
-    /// Index one past the `]` matching the `[` at `open`.
-    fn matching_bracket(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < end {
-            if self.is_punct(i, "[") {
-                depth += 1;
-            } else if self.is_punct(i, "]") {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        end
-    }
-
-    /// First `;` or `{` at paren/bracket depth 0, or an unbalanced `)`.
-    fn stmt_end(&self, start: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut i = start;
-        while i < end {
-            if self.is_punct(i, "(") || self.is_punct(i, "[") {
-                depth += 1;
-            } else if self.is_punct(i, ")") || self.is_punct(i, "]") {
-                depth -= 1;
-                if depth < 0 {
-                    return i;
-                }
-            } else if depth == 0 && (self.is_punct(i, ";") || self.is_punct(i, "{")) {
-                return i;
-            }
-            i += 1;
-        }
-        end
-    }
-
-    /// Identifiers in `[start, end)` that can carry a value: not call or
-    /// macro heads, not keywords/ctor names.
-    fn idents_in(&self, start: usize, end: usize) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        let mut i = start;
-        while i < end {
-            if self.ident_kind(i) && !self.is_punct(i + 1, "(") && !self.is_punct(i + 1, "!") {
-                let t = self.text(i);
-                if !IDENT_SKIP.contains(&t) && !out.iter().any(|o| o == t) {
-                    out.push(t.to_string());
-                }
-            }
-            i += 1;
-        }
-        out
-    }
-
-    /// Main statement walk over a body/block token range.
-    fn walk(&mut self, start: usize, end: usize) {
-        let mut i = start;
-        while i < end {
-            if self.is_punct(i, "#") && self.is_punct(i + 1, "[") {
-                i = self.matching_bracket(i + 1, end);
-                continue;
-            }
-            if self.ident_kind(i) {
-                match self.text(i) {
-                    "let" => {
-                        i = self.let_stmt(i, end);
-                        continue;
-                    }
-                    "if" | "while" => {
-                        i = self.cond(i, end);
-                        continue;
-                    }
-                    "return" => {
-                        let stop = self.stmt_end(i + 1, end);
-                        let names = self.idents_in(i + 1, stop);
-                        if !names.is_empty() {
-                            self.ops.push(TaintOp::Return { names });
-                        }
-                        // Keep walking into the expression for its calls
-                        // and sinks.
-                        i += 1;
-                        continue;
-                    }
-                    _ => {
-                        if let Some(next) = self.reassign(i, end) {
-                            i = next;
-                            continue;
-                        }
-                    }
-                }
-            }
-            self.token_site(i, end);
-            i += 1;
-        }
-    }
-
-    /// `name = …` / `name op= …` at the identifier `i`; returns the resume
-    /// index when it is one.
-    fn reassign(&mut self, i: usize, end: usize) -> Option<usize> {
-        let name = self.text(i).to_string();
-        if IDENT_SKIP.contains(&name.as_str()) {
-            return None;
-        }
-        let (eq_at, compound) = if self.is_punct(i + 1, "=") {
-            (i + 1, false)
-        } else if self
-            .toks
-            .get(i + 1)
-            .is_some_and(|t| t.kind == TokenKind::Punct)
-            && matches!(
-                self.text(i + 1),
-                "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
-            )
-            && self.is_punct(i + 2, "=")
-        {
-            (i + 2, true)
-        } else {
-            return None;
-        };
-        // `a == b` (and `a &&= …`-ish shapes) are comparisons, not stores.
-        if self.is_punct(eq_at + 1, "=") {
-            return None;
-        }
-        if i.checked_sub(1)
-            .is_some_and(|p| self.toks[p].kind == TokenKind::Punct)
-            && matches!(self.text(i - 1), "=" | "<" | ">" | "!")
-        {
-            return None;
-        }
-        let line = self.toks[i].line;
-        let stop = self.stmt_end(eq_at + 1, end);
-        self.emit_assign(name, eq_at + 1, stop, compound, line);
-        Some(stop)
-    }
-
-    /// `let [mut] name [: Ty] = init;` — patterns more complex than one
-    /// identifier fall back to the plain walk (their calls and sinks are
-    /// still mined, only the binding is untracked).
-    fn let_stmt(&mut self, let_at: usize, end: usize) -> usize {
-        let line = self.toks[let_at].line;
-        let mut i = let_at + 1;
-        if self.is_ident_at(i, "mut") {
-            i += 1;
-        }
-        if i >= end || !self.ident_kind(i) {
-            return let_at + 1;
-        }
-        let name = self.text(i).to_string();
-        let mut j = i + 1;
-        if self.is_punct(j, ":") {
-            // Skip the type annotation: angles nest, `->` stays joined.
-            let mut angle = 0i32;
-            let mut depth = 0i32;
-            j += 1;
-            while j < end {
-                if self.is_punct(j, "<") {
-                    angle += 1;
-                } else if self.is_punct(j, ">") {
-                    angle -= 1;
-                } else if self.is_punct(j, "(") || self.is_punct(j, "[") {
-                    depth += 1;
-                } else if self.is_punct(j, ")") || self.is_punct(j, "]") {
-                    depth -= 1;
-                } else if angle == 0
-                    && depth == 0
-                    && (self.is_punct(j, "=") || self.is_punct(j, ";"))
-                {
-                    break;
-                }
-                j += 1;
+    let method = matches!(c.kind, CallKind::Method { .. });
+    if method && (c.name.starts_with("wrapping_") || c.name.starts_with("unchecked_")) {
+        let mut names: Vec<String> = args().collect();
+        if let Some(recv) = c.recv_last().filter(|r| *r != "self") {
+            if !names.iter().any(|n| n == recv) {
+                names.push(recv.to_string());
             }
         }
-        if !self.is_punct(j, "=") {
-            return let_at + 1;
-        }
-        let stop = self.stmt_end(j + 1, end);
-        self.emit_assign(name, j + 1, stop, false, line);
-        stop
+        out.push((Rule::D013, what(), names));
     }
-
-    /// Mines an initializer range for its call/sink ops, then pushes the
-    /// `Assign` tying them to `dst`.
-    fn emit_assign(&mut self, dst: String, start: usize, stop: usize, compound: bool, line: usize) {
-        let before = self.ops.len();
-        self.expr(start, stop);
-        let calls: Vec<usize> = (before..self.ops.len())
-            .filter(|&k| matches!(self.ops[k], TaintOp::Call { .. }))
-            .collect();
-        let mut srcs = self.idents_in(start, stop);
-        if compound && !srcs.contains(&dst) {
-            srcs.push(dst.clone());
-        }
-        let source = self.source_of(start, stop);
-        let sanitized = self.is_sanitizing(start, stop);
-        self.ops.push(TaintOp::Assign {
-            dst,
-            srcs,
-            source,
-            sanitized,
-            calls,
-            line,
-        });
-    }
-
-    /// Token-by-token pass over an expression range (no statement
-    /// structure): records calls, sources, and sinks.
-    fn expr(&mut self, start: usize, stop: usize) {
-        let mut i = start;
-        while i < stop {
-            if self.is_punct(i, "#") && self.is_punct(i + 1, "[") {
-                i = self.matching_bracket(i + 1, stop);
-                continue;
-            }
-            self.token_site(i, stop);
-            i += 1;
-        }
-    }
-
-    /// `if`/`while` condition: mine its expression, then emit a `Check`
-    /// for every identifier when the condition compares anything — the
-    /// conservative model of a dominating bound check.
-    fn cond(&mut self, kw_at: usize, end: usize) -> usize {
-        let stop = self.stmt_end(kw_at + 1, end);
-        self.expr(kw_at + 1, stop);
-        if self.has_comparison(kw_at + 1, stop) {
-            for name in self.idents_in(kw_at + 1, stop) {
-                self.ops.push(TaintOp::Check { name });
-            }
-        }
-        stop
-    }
-
-    /// Any `<`, `>`, `==`, `!=` in the range (the lexer leaves comparison
-    /// operators as single-byte puncts).
-    fn has_comparison(&self, start: usize, stop: usize) -> bool {
-        let mut i = start;
-        while i < stop {
-            if self.toks[i].kind == TokenKind::Punct {
-                match self.text(i) {
-                    "<" | ">" => return true,
-                    "=" | "!" if self.is_punct(i + 1, "=") => return true,
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        false
-    }
-
-    /// Does the range call a direct untrusted-input source?
-    fn source_of(&self, start: usize, stop: usize) -> Option<String> {
-        if !self.seed {
-            return None;
-        }
-        let mut i = start;
-        while i + 2 < stop {
-            if self.ident_kind(i) && self.is_punct(i + 1, "::") && self.ident_kind(i + 2) {
-                let head = self.text(i);
-                let name = self.text(i + 2);
-                let hit = (head == "env" && matches!(name, "args" | "args_os" | "var" | "var_os"))
-                    || (head == "fs" && matches!(name, "read" | "read_to_string"));
-                if hit {
-                    return Some(format!("{head}::{name}()"));
-                }
-            }
-            i += 1;
-        }
-        None
-    }
-
-    /// Does the range pass a sanitizer? Covers `try_into`/`try_from`,
-    /// `checked_*` arithmetic, `.min(cap)`/`clamp`, and validated-newtype
-    /// constructors (`FrameLen::…`).
-    fn is_sanitizing(&self, start: usize, stop: usize) -> bool {
-        let mut i = start;
-        while i < stop {
-            if self.ident_kind(i) {
-                let t = self.text(i);
-                if matches!(t, "try_into" | "try_from" | "clamp") || t.starts_with("checked_") {
-                    return true;
-                }
-                if t == "min" && i.checked_sub(1).is_some_and(|p| self.is_punct(p, ".")) {
-                    return true;
-                }
-                if SANITIZER_TYPES.contains(&t) && self.is_punct(i + 1, "::") {
-                    return true;
-                }
-            }
-            i += 1;
-        }
-        false
-    }
-
-    /// Per-argument identifier lists of a call whose `(` is at `open`.
-    fn call_args(&self, open: usize, close: usize) -> Vec<Vec<String>> {
-        let mut args = Vec::new();
-        let mut depth = 0i32;
-        let mut seg = open + 1;
-        let mut i = open;
-        while i < close {
-            if self.is_punct(i, "(") || self.is_punct(i, "[") || self.is_punct(i, "{") {
-                depth += 1;
-            } else if self.is_punct(i, ")") || self.is_punct(i, "]") || self.is_punct(i, "}") {
-                depth -= 1;
-                if depth == 0 {
-                    if i > seg {
-                        args.push(self.idents_in(seg, i));
-                    }
-                    break;
-                }
-            } else if depth == 1 && self.is_punct(i, ",") {
-                args.push(self.idents_in(seg, i));
-                seg = i + 1;
-            }
-            i += 1;
-        }
-        args
-    }
-
-    /// Records the call/source/sink ops anchored at token `i`.
-    fn token_site(&mut self, i: usize, end: usize) {
-        let t = &self.toks[i];
-        // `vec![init; len]` sizes an allocation with `len`.
-        if t.kind == TokenKind::Ident
-            && self.text(i) == "vec"
-            && self.is_punct(i + 1, "!")
-            && self.is_punct(i + 2, "[")
-        {
-            let close = self.matching_bracket(i + 2, end);
-            let mut depth = 0i32;
-            for k in (i + 2)..close {
-                if self.is_punct(k, "[") || self.is_punct(k, "(") {
-                    depth += 1;
-                } else if self.is_punct(k, "]") || self.is_punct(k, ")") {
-                    depth -= 1;
-                } else if depth == 1 && self.is_punct(k, ";") {
-                    let names = self.idents_in(k + 1, close.saturating_sub(1));
-                    if !names.is_empty() {
-                        self.ops.push(TaintOp::Sink {
-                            kind: SinkKind::AllocSize,
-                            what: String::from("vec![_; n]"),
-                            names,
-                            line: t.line,
-                        });
-                    }
-                    break;
-                }
-            }
-            return;
-        }
-        if t.kind == TokenKind::Ident && self.is_punct(i + 1, "(") {
-            let name = self.text(i).to_string();
-            if NON_CALL_KEYWORDS.contains(&name.as_str()) {
-                return;
-            }
-            let line = t.line;
-            let prev = i.checked_sub(1);
-            let prev_dot = prev.is_some_and(|p| self.is_punct(p, "."));
-            let prev_path = prev.is_some_and(|p| self.is_punct(p, "::"));
-            let close = self.matching_paren(i + 1, end);
-            let args = self.call_args(i + 1, close);
-            if self.seed && prev_dot && READ_FILL_METHODS.contains(&name.as_str()) {
-                let recv = i
-                    .checked_sub(2)
-                    .filter(|&p| self.ident_kind(p))
-                    .map(|p| self.text(p).to_string())
-                    .unwrap_or_else(|| String::from("stream"));
-                let fills: Vec<String> = args.iter().flatten().cloned().collect();
-                for dst in fills {
-                    self.ops.push(TaintOp::SourceFill {
-                        dst,
-                        desc: format!("bytes filled by `{recv}.{name}()`"),
-                    });
-                }
-            }
-            if ALLOC_SIZE_METHODS.contains(&name.as_str()) {
-                let names: Vec<String> = args.iter().flatten().cloned().collect();
-                if !names.is_empty() {
-                    self.ops.push(TaintOp::Sink {
-                        kind: SinkKind::AllocSize,
-                        what: format!("{name}()"),
-                        names,
-                        line,
-                    });
-                }
-            }
-            if prev_dot && (name.starts_with("wrapping_") || name.starts_with("unchecked_")) {
-                let mut names: Vec<String> = args.iter().flatten().cloned().collect();
-                if let Some(recv) = i
-                    .checked_sub(2)
-                    .filter(|&p| self.ident_kind(p))
-                    .map(|p| self.text(p).to_string())
-                {
-                    if !IDENT_SKIP.contains(&recv.as_str()) && !names.contains(&recv) {
-                        names.push(recv);
-                    }
-                }
-                if !names.is_empty() {
-                    self.ops.push(TaintOp::Sink {
-                        kind: SinkKind::Arith,
-                        what: format!("{name}()"),
-                        names,
-                        line,
-                    });
-                }
-            }
-            let kind = if prev_dot {
-                let on_self = i
-                    .checked_sub(2)
-                    .is_some_and(|p| self.is_ident_at(p, "self"));
-                CallKind::Method { on_self }
-            } else if prev_path {
-                let head = i
-                    .checked_sub(2)
-                    .filter(|&p| self.ident_kind(p))
-                    .map(|p| self.text(p).to_string())
-                    .unwrap_or_default();
-                CallKind::Qualified { head }
-            } else {
-                CallKind::Free
-            };
-            self.ops.push(TaintOp::Call {
-                name,
-                kind,
-                args,
-                line,
-            });
-            return;
-        }
-        // Index expression: `[` whose previous token closes a value.
-        if self.is_punct(i, "[") {
-            if let Some(p) = i.checked_sub(1) {
-                let indexes_value = match self.toks[p].kind {
-                    TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&self.text(p)),
-                    TokenKind::Punct => {
-                        let s = self.text(p);
-                        s == ")" || s == "]"
-                    }
-                    _ => false,
-                };
-                if indexes_value {
-                    let close = self.matching_bracket(i, end);
-                    let names = self.idents_in(i + 1, close.saturating_sub(1));
-                    if !names.is_empty() {
-                        self.ops.push(TaintOp::Sink {
-                            kind: SinkKind::Index,
-                            what: String::from("index []"),
-                            names,
-                            line: self.toks[i].line,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// The body's trailing expression is its return value. Only emitted
-    /// for brace-free trailing segments — a trailing `if`/`match` block
-    /// would over-approximate wildly.
-    fn trailing_return(&mut self, start: usize, end: usize) {
-        let mut depth = 0i32;
-        let mut seg = start;
-        let mut i = start;
-        while i < end {
-            if self.is_punct(i, "(") || self.is_punct(i, "[") || self.is_punct(i, "{") {
-                depth += 1;
-            } else if self.is_punct(i, ")") || self.is_punct(i, "]") || self.is_punct(i, "}") {
-                depth -= 1;
-            } else if depth == 0 && self.is_punct(i, ";") {
-                seg = i + 1;
-            }
-            i += 1;
-        }
-        if (seg..end).any(|k| self.is_punct(k, "{")) {
-            return;
-        }
-        let names = self.idents_in(seg, end);
-        if !names.is_empty() {
-            self.ops.push(TaintOp::Return { names });
-        }
-    }
+    out.retain(|(_, _, names)| !names.is_empty());
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -755,7 +178,7 @@ struct State {
 
 /// One tainted value reaching a sink during an eval pass.
 struct SinkHit {
-    kind: SinkKind,
+    rule: Rule,
     what: String,
     line: usize,
     name: String,
@@ -769,27 +192,22 @@ struct EvalOut {
     ret: Option<Prov>,
 }
 
-/// Abstract-interprets one function's taint IR. Two passes over the ops
-/// catch loop-carried taint; hits and outward flows are collected from
-/// the second (stable) pass only. `seeded` controls whether the fn's own
-/// tainted-parameter state enters the environment — the unseeded run
-/// isolates what the fn taints *by itself* (sources + callee
+/// Abstract-interprets one function's op stream for taint. Two passes
+/// over the ops catch loop-carried taint; hits and outward flows are
+/// collected from the second (stable) pass only. `seeded` controls
+/// whether the fn's own tainted-parameter state enters the environment —
+/// the unseeded run isolates what the fn taints *by itself* (sources + callee
 /// out-params), which is what callers may conclude about by-ref
 /// arguments without cross-caller contamination.
-fn eval(
-    graph: &CallGraph,
-    i: usize,
-    targets: &BTreeMap<usize, Vec<usize>>,
-    st: &State,
-    seeded: bool,
-) -> EvalOut {
+fn eval(graph: &CallGraph, i: usize, st: &State, seeded: bool) -> EvalOut {
     let f = &graph.fns[i];
+    let targets = &graph.targets[i];
     let q = f.qualified();
     let mut env: BTreeMap<String, Prov> = BTreeMap::new();
     if seeded {
         for (pos, prov) in &st.tainted[i] {
             if let Some(p) = f.params.get(*pos) {
-                env.entry(p.clone()).or_insert_with(|| prov.clone());
+                env.entry(p.name.clone()).or_insert_with(|| prov.clone());
             }
         }
     }
@@ -797,41 +215,45 @@ fn eval(
     let mut arg_out: Vec<(usize, usize, Prov)> = Vec::new();
     let mut ret: Option<Prov> = None;
 
+    let seed = seeds(&f.file);
+    let fresh = |desc: String| Prov {
+        desc,
+        path: vec![q.clone()],
+    };
     for pass in 0..2 {
         let collect = pass == 1;
-        for (k, op) in f.taint.ops.iter().enumerate() {
+        for (k, op) in f.ops.iter().enumerate() {
+            let mut sinks = Vec::new();
             match op {
-                TaintOp::SourceFill { dst, desc } => {
-                    env.entry(dst.clone()).or_insert_with(|| Prov {
-                        desc: desc.clone(),
-                        path: vec![q.clone()],
-                    });
+                Op::Check(names) => {
+                    for n in names {
+                        env.remove(n);
+                    }
                 }
-                TaintOp::Check { name } => {
-                    env.remove(name);
-                }
-                TaintOp::Assign {
-                    dst,
-                    srcs,
-                    source,
-                    sanitized,
-                    calls,
-                    ..
-                } => {
-                    if *sanitized {
-                        env.remove(dst);
+                Op::Bind(b) => {
+                    let calls = || {
+                        b.init.clone().filter_map(|k| match &f.ops[k] {
+                            Op::Call(c) => Some((k, c)),
+                            _ => None,
+                        })
+                    };
+                    if calls().any(|(_, c)| sanitizes(c)) {
+                        env.remove(&b.dst);
                         continue;
                     }
-                    if let Some(desc) = source {
-                        env.entry(dst.clone()).or_insert_with(|| Prov {
-                            desc: desc.clone(),
-                            path: vec![q.clone()],
-                        });
+                    if let Some(desc) = seed.then(|| calls().find_map(|(_, c)| source(c))).flatten()
+                    {
+                        env.entry(b.dst.clone()).or_insert_with(|| fresh(desc));
                         continue;
                     }
-                    let mut prov = srcs.iter().find_map(|s| env.get(s).cloned());
+                    let compound = matches!(b.store, Store::Update(_));
+                    let mut prov = b
+                        .srcs
+                        .iter()
+                        .chain(compound.then_some(&b.dst))
+                        .find_map(|s| env.get(s).cloned());
                     if prov.is_none() {
-                        prov = calls.iter().find_map(|c| {
+                        prov = calls().find_map(|(c, _)| {
                             targets
                                 .get(c)
                                 .and_then(|ts| ts.iter().find_map(|&t| st.ret[t].clone()))
@@ -840,59 +262,67 @@ fn eval(
                     }
                     match prov {
                         Some(p) => {
-                            env.entry(dst.clone()).or_insert(p);
+                            env.entry(b.dst.clone()).or_insert(p);
                         }
                         None => {
-                            env.remove(dst);
+                            env.remove(&b.dst);
                         }
                     }
                 }
-                TaintOp::Call { args, .. } => {
-                    let Some(ts) = targets.get(&k) else { continue };
+                // Of the macros, only `vec![_; n]` feeds taint.
+                Op::Call(c) if c.kind != CallKind::Macro || c.name == "vec" => {
+                    if seed
+                        && matches!(c.kind, CallKind::Method { .. })
+                        && READ_FILL_METHODS.contains(&c.name.as_str())
+                    {
+                        let recv = c.recv_last().unwrap_or("stream");
+                        for dst in c.args.iter().flatten() {
+                            env.entry(dst.clone()).or_insert_with(|| {
+                                fresh(format!("bytes filled by `{recv}.{}()`", c.name))
+                            });
+                        }
+                    }
                     if collect {
-                        for (pos, arg) in args.iter().enumerate() {
-                            if let Some(prov) = arg.iter().find_map(|a| env.get(a)) {
-                                for &t in ts {
-                                    arg_out.push((t, pos, prov.clone()));
+                        for (rule, what, names) in call_sinks(c) {
+                            sinks.push((rule, what, names, c.line));
+                        }
+                    }
+                    if let Some(ts) = targets.get(k).filter(|ts| !ts.is_empty()) {
+                        if collect {
+                            for (pos, arg) in c.args.iter().enumerate() {
+                                if let Some(prov) = arg.iter().find_map(|a| env.get(a)) {
+                                    for &t in ts {
+                                        arg_out.push((t, pos, prov.clone()));
+                                    }
                                 }
                             }
                         }
-                    }
-                    for &t in ts {
-                        for (pos, prov) in &st.out[t] {
-                            if let Some(arg) = args.get(*pos) {
-                                for a in arg {
+                        for &t in ts {
+                            for (pos, prov) in &st.out[t] {
+                                for a in c.args.get(*pos).into_iter().flatten() {
                                     env.entry(a.clone()).or_insert_with(|| prov.via(&q));
                                 }
                             }
                         }
                     }
                 }
-                TaintOp::Sink {
-                    kind,
-                    what,
-                    names,
-                    line,
-                } => {
-                    if collect {
-                        for n in names {
-                            if let Some(prov) = env.get(n) {
-                                hits.push(SinkHit {
-                                    kind: *kind,
-                                    what: what.clone(),
-                                    line: *line,
-                                    name: n.clone(),
-                                    prov: prov.clone(),
-                                });
-                                break;
-                            }
-                        }
-                    }
+                Op::Index { names, line } if collect && !names.is_empty() => {
+                    sinks.push((Rule::D013, String::from("index []"), names.clone(), *line));
                 }
-                TaintOp::Return { names } => {
-                    if collect && ret.is_none() {
-                        ret = names.iter().find_map(|n| env.get(n).cloned());
-                    }
+                Op::Return(names) if collect && ret.is_none() => {
+                    ret = names.iter().find_map(|n| env.get(n).cloned());
+                }
+                _ => {}
+            }
+            for (rule, what, names, line) in sinks {
+                if let Some((n, prov)) = names.iter().find_map(|n| env.get(n).map(|p| (n, p))) {
+                    hits.push(SinkHit {
+                        rule,
+                        what,
+                        line,
+                        name: n.clone(),
+                        prov: prov.clone(),
+                    });
                 }
             }
         }
@@ -909,25 +339,6 @@ fn eval(
 /// rules. `files` maps workspace-relative paths to lexical context.
 pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Finding> {
     let n = graph.fns.len();
-    // Call-op targets, resolved once with the shared conservative policy.
-    let targets: Vec<BTreeMap<usize, Vec<usize>>> = graph
-        .fns
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let mut m = BTreeMap::new();
-            for (k, op) in f.taint.ops.iter().enumerate() {
-                if let TaintOp::Call { name, kind, .. } = op {
-                    let ts = graph.resolve(i, name, kind);
-                    if !ts.is_empty() {
-                        m.insert(k, ts);
-                    }
-                }
-            }
-            m
-        })
-        .collect();
-
     let mut st = State {
         tainted: vec![BTreeMap::new(); n],
         ret: vec![None; n],
@@ -935,11 +346,11 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
     };
     for _round in 0..24 {
         let mut changed = false;
-        for (i, tgt) in targets.iter().enumerate() {
+        for i in 0..n {
             if graph.fns[i].is_test {
                 continue;
             }
-            let out = eval(graph, i, tgt, &st, true);
+            let out = eval(graph, i, &st, true);
             for (t, pos, prov) in out.arg_out {
                 if graph.fns[t].is_test || pos >= graph.fns[t].params.len() {
                     continue;
@@ -955,9 +366,9 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
                     changed = true;
                 }
             }
-            let o2 = eval(graph, i, tgt, &st, false);
-            for (pos, pname) in graph.fns[i].params.iter().enumerate() {
-                if let Some(prov) = o2.env.get(pname) {
+            let o2 = eval(graph, i, &st, false);
+            for (pos, p) in graph.fns[i].params.iter().enumerate() {
+                if let Some(prov) = o2.env.get(&p.name) {
                     st.out[i].entry(pos).or_insert_with(|| {
                         changed = true;
                         prov.clone()
@@ -971,7 +382,7 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
     }
 
     let mut findings = Vec::new();
-    for (i, tgt) in targets.iter().enumerate() {
+    for i in 0..n {
         let f = &graph.fns[i];
         if f.is_test {
             continue;
@@ -979,38 +390,26 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
         let Some(ctx) = files.get(&f.file) else {
             continue;
         };
-        let out = eval(graph, i, tgt, &st, true);
+        let out = eval(graph, i, &st, true);
         let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
         for h in out.hits {
             if !seen.insert((h.line, h.what.clone())) {
                 continue;
             }
-            let rule = match h.kind {
-                SinkKind::AllocSize => Rule::D012,
-                SinkKind::Index | SinkKind::Arith => Rule::D013,
-            };
-            if ctx.is_allowed(rule, h.line - 1) {
-                continue;
-            }
+            let rule = h.rule;
             let mut chain = h.prov.path.clone();
             let q = f.qualified();
             if chain.last() != Some(&q) {
                 chain.push(q);
             }
-            findings.push(Finding {
-                rule,
-                file: f.file.clone(),
-                line: h.line,
-                snippet: ctx.snippet(h.line),
-                note: Some(format!(
-                    "`{}` carries {} into {} without a dominating bound check, via {}",
-                    h.name,
-                    h.prov.desc,
-                    h.what,
-                    render_chain(&chain)
-                )),
-                severity: rule.severity(),
-            });
+            let note = format!(
+                "`{}` carries {} into {} without a dominating bound check, via {}",
+                h.name,
+                h.prov.desc,
+                h.what,
+                render_chain(&chain)
+            );
+            findings.extend(ctx.finding(rule, &f.file, h.line, note));
         }
     }
     findings.extend(lock_rules(graph, files));
@@ -1021,7 +420,7 @@ pub fn check(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findin
 // D014: lock-order cycles and guards held across blocking calls
 // ---------------------------------------------------------------------------
 
-/// True for a usable lock identity (the dataflow pass emits `?` when it
+/// True for a usable lock identity (the value lattice records `?` when it
 /// cannot name the lock).
 fn named(l: &str) -> bool {
     l != "?"
@@ -1030,7 +429,14 @@ fn named(l: &str) -> bool {
 /// Builds the serve-crate lock rules.
 fn lock_rules(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Finding> {
     let n = graph.fns.len();
-    let in_serve = |f: &crate::parser::FnDef| !f.is_test && f.file.starts_with("crates/serve/");
+    let in_serve = |f: &FnDef| !f.is_test && f.file.starts_with("crates/serve/");
+    let flows: Vec<_> = graph
+        .fns
+        .iter()
+        .map(|f| in_serve(f).then(|| flow(f)))
+        .collect();
+    let acquires = |i: usize| flows[i].iter().flat_map(|fl| &fl.acquires);
+    let guarded = |i: usize| flows[i].iter().flat_map(|fl| &fl.guarded);
 
     // --- transitive "does this fn block?", seeded at direct socket I/O
     // sites in the serving crate and propagated caller-ward.
@@ -1038,9 +444,8 @@ fn lock_rules(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findi
         .fns
         .iter()
         .map(|f| {
-            in_serve(f)
-                .then(|| f.flow.blocking.first().map(|s| s.what.clone()))
-                .flatten()
+            let direct = f.calls().find(|c| blocking(c)).filter(|_| in_serve(f));
+            direct.map(|c| format!("{}()", c.name))
         })
         .collect();
     for _ in 0..n.min(24) {
@@ -1063,20 +468,12 @@ fn lock_rules(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findi
     }
 
     // --- transitive "which locks can this fn acquire?".
-    let mut acq: Vec<BTreeSet<String>> = graph
-        .fns
-        .iter()
-        .map(|f| {
-            if in_serve(f) {
-                f.flow
-                    .acquires
-                    .iter()
-                    .filter(|a| named(&a.lock))
-                    .map(|a| a.lock.clone())
-                    .collect()
-            } else {
-                BTreeSet::new()
-            }
+    let mut acq: Vec<BTreeSet<String>> = (0..n)
+        .map(|i| {
+            acquires(i)
+                .map(|a| a.0.clone())
+                .filter(|l| named(l))
+                .collect()
         })
         .collect();
     for _ in 0..n.min(24) {
@@ -1112,47 +509,36 @@ fn lock_rules(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findi
         line: usize,
         via: Option<usize>,
     }
-    let mut order: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let acq = &acq;
     let mut sites: Vec<AcqSite> = Vec::new();
-    for (i, f) in graph.fns.iter().enumerate() {
-        if !in_serve(f) {
-            continue;
-        }
-        for a in &f.flow.acquires {
-            if !named(&a.lock) {
-                continue;
-            }
-            for h in a.held.iter().filter(|h| named(h)) {
-                order.entry(h.clone()).or_default().insert(a.lock.clone());
-                sites.push(AcqSite {
-                    from: h.clone(),
-                    to: a.lock.clone(),
-                    fn_idx: i,
-                    line: a.line,
-                    via: None,
-                });
-            }
-        }
-        for g in &f.flow.guarded_calls {
-            let held: Vec<&String> = g.held.iter().filter(|h| named(h)).collect();
-            if held.is_empty() {
-                continue;
-            }
-            for t in graph.resolve(i, &g.callee, &g.kind) {
-                for l in acq[t].clone() {
-                    for h in &held {
-                        order.entry((*h).clone()).or_default().insert(l.clone());
-                        sites.push(AcqSite {
-                            from: (*h).clone(),
-                            to: l.clone(),
-                            fn_idx: i,
-                            line: g.line,
-                            via: Some(t),
-                        });
-                    }
+    for i in 0..n {
+        // Direct acquisitions, then the locks each guarded call can take.
+        let direct = acquires(i).map(|(lock, held, line)| (held, *line, None, vec![lock.clone()]));
+        let called = guarded(i).flat_map(|(g, held, _)| {
+            let targets = graph.resolve(i, &g.name, &g.kind).into_iter();
+            targets.map(move |t| (held, g.line, Some(t), acq[t].iter().cloned().collect()))
+        });
+        for (held, line, via, locks) in direct.chain(called) {
+            for to in locks.iter().filter(|l| named(l)) {
+                for from in held.iter().filter(|h| named(h)) {
+                    let (from, to) = (from.clone(), to.clone());
+                    sites.push(AcqSite {
+                        from,
+                        to,
+                        fn_idx: i,
+                        line,
+                        via,
+                    });
                 }
             }
         }
+    }
+    let mut order: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for s in &sites {
+        order
+            .entry(s.from.clone())
+            .or_default()
+            .insert(s.to.clone());
     }
 
     let mut findings = Vec::new();
@@ -1168,9 +554,6 @@ fn lock_rules(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findi
         let Some(ctx) = files.get(&f.file) else {
             continue;
         };
-        if ctx.is_allowed(Rule::D014, s.line - 1) {
-            continue;
-        }
         let how = match s.via {
             Some(t) => format!("via {}", graph.fns[t].qualified()),
             None => String::from("directly"),
@@ -1179,53 +562,44 @@ fn lock_rules(graph: &CallGraph, files: &BTreeMap<String, FileCtx>) -> Vec<Findi
         if !emitted.insert(key) {
             continue;
         }
-        findings.push(Finding {
-            rule: Rule::D014,
-            file: f.file.clone(),
-            line: s.line,
-            snippet: ctx.snippet(s.line),
-            note: Some(format!(
-                "{} acquires `{}` while holding `{}` ({how}) — the reverse order is also taken, closing a lock-order cycle",
-                f.qualified(),
-                s.to,
-                s.from,
-            )),
-            severity: Rule::D014.severity(),
-        });
+        let note = format!(
+            "{} acquires `{}` while holding `{}` ({how}) — the reverse order is also taken, closing a lock-order cycle",
+            f.qualified(),
+            s.to,
+            s.from,
+        );
+        findings.extend(ctx.finding(Rule::D014, &f.file, s.line, note));
     }
 
-    // Guard held across a call that transitively blocks on socket I/O.
+    // Guard held across blocking socket I/O: a call made directly, or one
+    // that transitively blocks.
     for (i, f) in graph.fns.iter().enumerate() {
-        if !in_serve(f) {
-            continue;
-        }
         let Some(ctx) = files.get(&f.file) else {
             continue;
         };
-        for g in &f.flow.guarded_calls {
-            let Some(h) = g.held.iter().find(|h| named(h)) else {
+        for (g, held, guard) in guarded(i) {
+            if blocking(g) {
+                let note = format!(
+                    "guard `{guard}` held across {}() in {}",
+                    g.name,
+                    f.qualified()
+                );
+                findings.extend(ctx.finding(Rule::D014, &f.file, g.line, note));
+            }
+            let Some(h) = held.iter().find(|h| named(h)) else {
                 continue;
             };
-            if ctx.is_allowed(Rule::D014, g.line - 1) {
-                continue;
-            }
-            for t in graph.resolve(i, &g.callee, &g.kind) {
+            for t in graph.resolve(i, &g.name, &g.kind) {
                 let Some(d) = &blocks[t] else { continue };
                 let key = (f.file.clone(), g.line, format!("block:{h}"));
                 if !emitted.insert(key) {
                     continue;
                 }
-                findings.push(Finding {
-                    rule: Rule::D014,
-                    file: f.file.clone(),
-                    line: g.line,
-                    snippet: ctx.snippet(g.line),
-                    note: Some(format!(
-                        "guard on `{h}` held across a blocking call: {} → {d}",
-                        graph.fns[t].qualified(),
-                    )),
-                    severity: Rule::D014.severity(),
-                });
+                let note = format!(
+                    "guard on `{h}` held across a blocking call: {} → {d}",
+                    graph.fns[t].qualified(),
+                );
+                findings.extend(ctx.finding(Rule::D014, &f.file, g.line, note));
                 break;
             }
         }
@@ -1260,42 +634,46 @@ fn reaches(order: &BTreeMap<String, BTreeSet<String>>, from: &str, to: &str) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
     use crate::parser::parse_file;
 
-    fn mine_one(src: &str) -> FnTaint {
-        let fns = parse_file("crates/serve/src/x.rs", src, false);
-        fns[0].taint.clone()
+    fn ops_of(rel: &str, src: &str) -> Vec<Op> {
+        parse_file(rel, src, &lex(src), false).remove(0).ops
+    }
+
+    fn calls(ops: &[Op]) -> impl Iterator<Item = &Call> {
+        ops.iter().filter_map(|op| match op {
+            Op::Call(c) => Some(c),
+            _ => None,
+        })
     }
 
     #[test]
     fn read_fill_taints_buffer_and_reaches_index_sink() {
-        let t = mine_one(
+        let ops = ops_of(
+            "crates/serve/src/x.rs",
             "fn f(stream: &mut TcpStream, buf: &mut [u8], table: &[u8]) -> u8 {\n\
                  stream.read(&mut buf[..]).ok();\n\
                  let n = buf[0] as usize;\n\
                  table[n]\n\
              }\n",
         );
-        assert!(t
-            .ops
+        let read = calls(&ops).find(|c| c.name == "read").expect("read call");
+        assert!(READ_FILL_METHODS.contains(&read.name.as_str()));
+        assert_eq!(read.recv, "stream");
+        assert!(read.args.iter().flatten().any(|a| a == "buf"));
+        assert!(ops
             .iter()
-            .any(|o| matches!(o, TaintOp::SourceFill { dst, .. } if dst == "buf")));
-        assert!(t.ops.iter().any(|o| matches!(
-            o,
-            TaintOp::Sink {
-                kind: SinkKind::Index,
-                ..
-            }
-        )));
-        assert!(t
-            .ops
+            .any(|o| matches!(o, Op::Index { names, .. } if names == &["n".to_string()])));
+        assert!(ops
             .iter()
-            .any(|o| matches!(o, TaintOp::Return { names } if names.contains(&"n".into()))));
+            .any(|o| matches!(o, Op::Return(names) if names.contains(&"n".into()))));
     }
 
     #[test]
     fn comparison_in_condition_emits_checks() {
-        let t = mine_one(
+        let ops = ops_of(
+            "crates/serve/src/x.rs",
             "fn f(len: usize) -> usize {\n\
                  if len > MAX {\n\
                      return 0;\n\
@@ -1303,61 +681,41 @@ mod tests {
                  len\n\
              }\n",
         );
-        assert!(t
-            .ops
+        assert!(ops
             .iter()
-            .any(|o| matches!(o, TaintOp::Check { name } if name == "len")));
+            .any(|o| matches!(o, Op::Check(names) if names.contains(&"len".into()))));
     }
 
     #[test]
     fn sanitizer_marks_assign() {
-        let t = mine_one(
+        let ops = ops_of(
+            "crates/serve/src/x.rs",
             "fn f(len: usize) {\n\
                  let capped = len.min(64);\n\
                  let raw = len + 1;\n\
                  scratch.reserve(capped);\n\
              }\n",
         );
-        let sanitized: Vec<bool> = t
-            .ops
+        let sanitized: Vec<bool> = ops
             .iter()
             .filter_map(|o| match o {
-                TaintOp::Assign { sanitized, .. } => Some(*sanitized),
+                Op::Bind(b) => Some(calls(&ops[b.init.clone()]).any(sanitizes)),
                 _ => None,
             })
             .collect();
         assert_eq!(sanitized, vec![true, false]);
-        assert!(t.ops.iter().any(|o| matches!(
-            o,
-            TaintOp::Sink {
-                kind: SinkKind::AllocSize,
-                ..
-            }
-        )));
+        assert!(calls(&ops)
+            .flat_map(call_sinks)
+            .any(|(rule, _, names)| rule == Rule::D012 && names == ["capped"]));
     }
 
     #[test]
     fn env_args_is_a_source_only_in_seeded_paths() {
-        let serve = mine_one("fn f() { let a = std::env::args().count(); }\n");
-        assert!(serve.ops.iter().any(|o| matches!(
-            o,
-            TaintOp::Assign {
-                source: Some(_),
-                ..
-            }
-        )));
-        let fns = parse_file(
-            "crates/audit/src/x.rs",
-            "fn f() { let a = std::env::args().count(); }\n",
-            false,
-        );
-        assert!(!fns[0].taint.ops.iter().any(|o| matches!(
-            o,
-            TaintOp::Assign {
-                source: Some(_),
-                ..
-            }
-        )));
+        let src = "fn f() { let a = std::env::args().count(); }\n";
+        let ops = ops_of("crates/serve/src/x.rs", src);
+        assert_eq!(calls(&ops).find_map(source).as_deref(), Some("env::args()"));
+        assert!(seeds("crates/serve/src/x.rs"));
+        assert!(!seeds("crates/audit/src/x.rs"));
     }
 
     #[test]
@@ -1380,7 +738,7 @@ mod tests {
                 let v: Vec<u8> = Vec::with_capacity(len);\n\
                 v.capacity()\n\
             }\n";
-        let fns = parse_file("crates/serve/src/x.rs", src, false);
+        let fns = parse_file("crates/serve/src/x.rs", src, &lex(src), false);
         let graph = CallGraph::build(fns);
         let mut files = BTreeMap::new();
         files.insert(
@@ -1411,7 +769,7 @@ mod tests {
                 let v: Vec<u8> = Vec::with_capacity(len);\n\
                 v.capacity()\n\
             }\n";
-        let fns = parse_file("crates/serve/src/x.rs", src, false);
+        let fns = parse_file("crates/serve/src/x.rs", src, &lex(src), false);
         let graph = CallGraph::build(fns);
         let mut files = BTreeMap::new();
         files.insert(
@@ -1456,7 +814,7 @@ mod tests {
                     stream.read_exact(&mut b).ok();\n\
                 }\n\
             }\n";
-        let fns = parse_file("crates/serve/src/x.rs", src, false);
+        let fns = parse_file("crates/serve/src/x.rs", src, &lex(src), false);
         let graph = CallGraph::build(fns);
         let mut files = BTreeMap::new();
         files.insert(
@@ -1490,13 +848,13 @@ mod tests {
                      alloc_for(len);\n\
                  }\n";
         let order1 = {
-            let mut fns = parse_file("crates/serve/src/a.rs", a, false);
-            fns.extend(parse_file("crates/serve/src/b.rs", b, false));
+            let mut fns = parse_file("crates/serve/src/a.rs", a, &lex(a), false);
+            fns.extend(parse_file("crates/serve/src/b.rs", b, &lex(b), false));
             fns
         };
         let order2 = {
-            let mut fns = parse_file("crates/serve/src/b.rs", b, false);
-            fns.extend(parse_file("crates/serve/src/a.rs", a, false));
+            let mut fns = parse_file("crates/serve/src/b.rs", b, &lex(b), false);
+            fns.extend(parse_file("crates/serve/src/a.rs", a, &lex(a), false));
             fns
         };
         let mut files = BTreeMap::new();
@@ -1587,7 +945,7 @@ mod tests {
             let parse_all = |order: &[&(String, String)]| {
                 let mut fns = Vec::new();
                 for (rel, src) in order {
-                    fns.extend(parse_file(rel, src, false));
+                    fns.extend(parse_file(rel, src, &lex(src), false));
                 }
                 fns
             };

@@ -5,7 +5,8 @@
 //!    `audit: allow`, and every grandfathered one is in `baseline.txt`,
 //! 2. the seeded fixture tree trips every rule (lexical and
 //!    interprocedural), so the scan cannot have silently gone blind, and
-//! 3. two scans of the same tree emit byte-identical reports.
+//! 3. two scans of the same tree emit byte-identical reports, and the
+//!    fixture's JSON report matches its committed golden copy.
 
 use std::path::PathBuf;
 
@@ -273,7 +274,7 @@ fn fixture_lock_findings_cover_cycle_and_blocking_guard() {
 #[test]
 fn parallel_scan_is_byte_identical_across_thread_counts() {
     // The `map_chunks` contract applied to the analyzer itself: the
-    // report bytes must not depend on `--threads`.
+    // report bytes must not depend on the scan's thread count.
     let root = workspace_root();
     let baseline = Baseline::load(&root.join(BASELINE_REL_PATH));
     let run = |threads: usize| {
@@ -329,4 +330,36 @@ fn repeated_scans_emit_byte_identical_reports() {
     assert_eq!(json_a, json_b, "JSON report must be byte-deterministic");
     assert_eq!(sarif_a, sarif_b, "SARIF report must be byte-deterministic");
     assert!(sarif_a.contains("\"version\": \"2.1.0\""));
+}
+
+#[test]
+fn fixture_json_report_matches_the_golden_file() {
+    // `cfa-audit --format json crates/audit/fixtures/seeded`, byte for
+    // byte. Regenerate the golden file only for a reviewed change to
+    // the findings.
+    let root = audit_crate_dir().join("fixtures/seeded");
+    let findings = scan_tree(&root).unwrap();
+    let flags = Baseline::load(&root.join(BASELINE_REL_PATH)).classify(&findings);
+    let golden =
+        std::fs::read_to_string(audit_crate_dir().join("fixtures/seeded_report.json")).unwrap();
+    assert_eq!(to_json(&findings, &flags), golden);
+}
+
+#[test]
+fn d014_reports_every_retired_d011_site() {
+    // D011 (a guard held across direct stream I/O) was folded into D014;
+    // every site it reported in the fixture is a D014 finding now.
+    let root = audit_crate_dir().join("fixtures/seeded");
+    let findings = scan_tree(&root).unwrap();
+    // The one site the parent reported as D011, with its note.
+    let site = (
+        "crates/serve/src/conn.rs",
+        9,
+        "guard `q` held across write_all() in pump",
+    );
+    assert!(
+        findings.iter().any(|f| f.rule == Rule::D014
+            && (f.file.as_str(), f.line, f.note.as_deref().unwrap_or("")) == site),
+        "no D014 at {site:?}: {findings:?}"
+    );
 }

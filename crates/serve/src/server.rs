@@ -342,7 +342,7 @@ fn worker_loop(shared: &Shared, wake_tx: &WakeStream) {
             done.push(job);
         }
         // The wake byte is written strictly after the completion guard
-        // drops — no lock is ever held across socket I/O (D011/D014).
+        // drops — no lock is ever held across socket I/O (D014).
         wake(wake_tx);
     }
 }
