@@ -5,7 +5,7 @@
 //! * call edges and the panic / allocation / growth sites of D006–D008
 //!   ([`interproc`](crate::interproc));
 //! * the value-lattice facts of D009/D010 and the lock facts of D014
-//!   ([`interproc::flow`](crate::interproc::flow));
+//!   (`interproc::flow`);
 //! * the taint fixpoint of D012/D013 ([`taint`](crate::taint)).
 //!
 //! This is deliberately not a Rust grammar. Statements are found by

@@ -16,10 +16,10 @@
 //! * **D008 — allocation in the hot predict path.** `Vec::new`,
 //!   `to_vec`, `clone`, `format!`, `collect`, … must not be reachable
 //!   from the per-row scoring path (`predict_row`, `class_probs_into`,
-//!   `score_all`, `score_snapshot`, …): that path is advertised
-//!   zero-alloc and the ensemble calls it `L` times per event.
+//!   `score_all`, `AnomalyDetector::score_with`, …): that path is
+//!   advertised zero-alloc and the ensemble calls it `L` times per event.
 //!
-//! The value-lattice rules D009/D010 are emitted here too: [`flow`]
+//! The value-lattice rules D009/D010 are emitted here too: `flow`
 //! runs a small abstract interpretation over each body's op stream
 //! (float reductions over parallel results, truncating casts on tracked
 //! wide values, and the lock facts the D014 graph consumes) and this
@@ -46,11 +46,14 @@ pub const EVENT_ROOTS: [&str; 2] = ["Simulator::run", "Simulator::run_until"];
 /// `score_rows_into` is the serving hot loop in `cfa-serve` — a network
 /// request must not allocate per row any more than a simulation event.
 /// The compiled engine's entry points (`CompiledEnsemble`'s row and
-/// structure-of-arrays batch scorers, and the detector's batch router)
-/// are held to the same per-row zero-allocation contract as the
-/// interpreted walk; they are qualified so the client-side convenience
-/// `Client::score_batch` (which builds a wire frame per request) stays
-/// out of the hot-path net.
+/// structure-of-arrays batch scorers, and the detector's row and batch
+/// entries that every production scorer goes through) are held to the
+/// same per-row zero-allocation contract as the interpreted walk they
+/// are checked against; the engine's are qualified so the client-side
+/// convenience `Client::score_batch` (which builds a wire frame per
+/// request) stays out of the hot-path net, and the detector's row entry
+/// so `CrossFeatureModel::score_with` is reached through its own
+/// `score_all`/`score_indices` roots, not by name.
 pub const PREDICT_ROOTS: [&str; 13] = [
     "predict_row",
     "prob_of_row",
@@ -58,7 +61,7 @@ pub const PREDICT_ROOTS: [&str; 13] = [
     "score_all",
     "score_indices",
     "one_model_score",
-    "score_snapshot",
+    "AnomalyDetector::score_with",
     "score_rows_into",
     "CompiledEnsemble::score_row",
     "CompiledEnsemble::score_batch",

@@ -1,6 +1,6 @@
 //! Item-level parser on top of the [`lexer`](crate::lexer): extracts `fn`
 //! definitions with their module / `impl` / `trait` ownership, their
-//! parameters, and their bodies lowered by the [`body`](crate::body)
+//! parameters, and their bodies lowered by the [`body`](mod@crate::body)
 //! walker into one op stream.
 //!
 //! This is deliberately not a full Rust grammar: it tracks brace nesting,

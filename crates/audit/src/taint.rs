@@ -19,7 +19,7 @@
 //! source → sink call chain, like D006 panic-reachability notes.
 //!
 //! D014 is the lock-discipline half. From the lock facts of
-//! [`interproc::flow`](crate::interproc::flow) — every acquisition with
+//! `interproc::flow` — every acquisition with
 //! the identities already held, every call made under a live guard —
 //! this layer builds the lock-acquisition-order graph over
 //! `crates/serve` and flags any acquisition that closes a cycle (the

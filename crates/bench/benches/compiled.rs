@@ -9,8 +9,8 @@
 
 use cfa_core::{CrossFeatureModel, Parallelism, ScoreMethod};
 use cfa_ml::{
-    AnyLearner, Classifier, CompiledMethod, CompiledModel, Learner, NaiveBayes, NominalTable,
-    Ripper, C45,
+    AnyLearner, Classifier, CompiledEnsemble, CompiledMethod, CompiledModel, Learner, NaiveBayes,
+    NominalTable, Ripper, C45,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
@@ -73,7 +73,7 @@ fn bench_compiled_ensemble(c: &mut Criterion) {
     group.sample_size(10);
     let table = paper_width_table(1000, 3);
     let model = CrossFeatureModel::train(&AnyLearner::Bayes(NaiveBayes::default()), &table);
-    let engine = model.compile();
+    let engine = CompiledEnsemble::compile(model.sub_models()).expect("one width");
     let row = table.row_vec(0);
     let events = paper_width_table(2000, 7);
     let packed: Vec<u8> = events.to_rows().into_iter().flatten().collect();

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use cfa_core::{AnomalyDetector, ScoreMethod, Verdict};
-//! use cfa_ml::{NominalTable, naive_bayes::NaiveBayes};
+//! use cfa_ml::{AnyLearner, NominalTable, naive_bayes::NaiveBayes};
 //!
 //! // Normal data: feature 1 always equals feature 0; feature 2 free.
 //! let rows: Vec<Vec<u8>> = (0..60).map(|i| {
@@ -37,11 +37,12 @@
 //!     rows,
 //! ).unwrap();
 //! let det = AnomalyDetector::fit(
-//!     &NaiveBayes::default(), &normal, ScoreMethod::AvgProbability, 0.05,
+//!     &AnyLearner::Bayes(NaiveBayes::default()), &normal, ScoreMethod::AvgProbability, 0.05,
 //! );
 //! // A vector violating the a == b correlation scores as anomalous.
-//! assert_eq!(det.classify(&[0, 1, 0]), Verdict::Anomaly);
-//! assert_eq!(det.classify(&[1, 1, 0]), Verdict::Normal);
+//! let mut scratch = Vec::new();
+//! assert_eq!(det.verdict(det.score_with(&[0, 1, 0], &mut scratch)), Verdict::Anomaly);
+//! assert_eq!(det.verdict(det.score_with(&[1, 1, 0], &mut scratch)), Verdict::Normal);
 //! ```
 
 pub mod detector;
@@ -55,7 +56,7 @@ pub mod reduction;
 pub mod threshold;
 
 pub use cfa_ml::compiled::{CompiledEnsemble, CompiledMethod, CompiledModel};
-pub use detector::{AnomalyDetector, SnapshotVerdict, Verdict};
+pub use detector::{AnomalyDetector, Verdict};
 pub use eval::{PrPoint, ScoredEvent};
 pub use model::{CrossFeatureModel, ScoreMethod};
 pub use online::{Alarm, MonitorReport, NodeScoreSeries, OnlineMonitor, MONITOR_STEP_SECS};

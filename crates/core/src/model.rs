@@ -1,8 +1,8 @@
 //! The cross-feature ensemble: Algorithms 1–3 of the paper.
 
 use crate::parallel::{map_chunks, Parallelism};
-use cfa_ml::compiled::{CompiledEnsemble, CompiledMethod};
-use cfa_ml::{AnyModel, Classifier, Learner, NominalTable};
+use cfa_ml::compiled::CompiledMethod;
+use cfa_ml::{Classifier, Learner, NominalTable};
 
 /// How sub-model outputs are combined into an event score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +33,13 @@ impl From<ScoreMethod> for CompiledMethod {
 /// table of **normal** events; [`CrossFeatureModel::score`] evaluates how
 /// normal a (full-width) feature vector looks, in `[0, 1]` — higher is more
 /// normal.
-#[derive(Debug)]
+///
+/// These scoring functions walk the trained sub-models as stored. They
+/// are the reference the compiled engine is held to, bit for bit, and
+/// what the ablations' subset scoring uses; detection itself scores
+/// through [`crate::AnomalyDetector`], which compiles the ensemble when
+/// it is built.
+#[derive(Debug, Clone)]
 pub struct CrossFeatureModel<M> {
     sub_models: Vec<M>,
     n_features: usize,
@@ -266,15 +272,6 @@ impl<M: Classifier> CrossFeatureModel<M> {
                 })
                 .collect()
         })
-    }
-}
-
-impl CrossFeatureModel<AnyModel> {
-    /// Lowers every sub-model into the flat compiled engine
-    /// ([`CompiledEnsemble`]), whose scores are bit-identical to this
-    /// ensemble's interpreted path (see `cfa_ml::compiled`).
-    pub fn compile(&self) -> CompiledEnsemble {
-        CompiledEnsemble::compile(&self.sub_models)
     }
 }
 

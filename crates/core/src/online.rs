@@ -37,7 +37,6 @@
 
 use crate::detector::{AnomalyDetector, Verdict};
 use crate::parallel::Parallelism;
-use cfa_ml::Classifier;
 use manet_features::{EqualFrequencyDiscretizer, IncrementalExtractor, SnapshotRow};
 use manet_sim::sink::NullSink;
 use manet_sim::{Agent, AuditEvent, ForwardingSink, NodeId, SimTime, Simulator, TraceSink};
@@ -272,10 +271,10 @@ impl EventLog {
 
 /// Couples a running [`Simulator`] to per-node extractors and a trained
 /// detector; see the module docs.
-pub struct OnlineMonitor<'a, A: Agent, M> {
+pub struct OnlineMonitor<'a, A: Agent> {
     sim: Simulator<A>,
     log: Rc<RefCell<EventLog>>,
-    detector: &'a AnomalyDetector<M>,
+    detector: &'a AnomalyDetector,
     discretizer: &'a EqualFrequencyDiscretizer,
     smoothing: usize,
     parallelism: Parallelism,
@@ -293,7 +292,7 @@ pub struct OnlineMonitor<'a, A: Agent, M> {
 /// The snapshot cadence in seconds, which is also the monitor's step size.
 pub const MONITOR_STEP_SECS: f64 = 5.0;
 
-impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
+impl<'a, A: Agent> OnlineMonitor<'a, A> {
     /// Prepares a monitor over a configured, **not yet started** simulator.
     /// Installs an event-log sink on every node in `monitored` and a
     /// [`NullSink`] on every other node.
@@ -305,9 +304,9 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
     pub fn new(
         mut sim: Simulator<A>,
         monitored: &[NodeId],
-        detector: &'a AnomalyDetector<M>,
+        detector: &'a AnomalyDetector,
         discretizer: &'a EqualFrequencyDiscretizer,
-    ) -> OnlineMonitor<'a, A, M> {
+    ) -> OnlineMonitor<'a, A> {
         assert!(!monitored.is_empty(), "monitor at least one node");
         let log = Rc::new(RefCell::new(EventLog {
             events: Vec::with_capacity(CHUNK_EVENTS),
@@ -352,7 +351,7 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
 
     /// Applies the batch pipeline's trailing moving-average smoothing over
     /// `k` snapshots before the threshold decision (`k = 1` is raw scores).
-    pub fn with_smoothing(mut self, k: usize) -> OnlineMonitor<'a, A, M> {
+    pub fn with_smoothing(mut self, k: usize) -> OnlineMonitor<'a, A> {
         self.smoothing = k.max(1);
         self
     }
@@ -360,7 +359,7 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
     /// Sets the thread budget. With two or more threads extraction runs
     /// on one worker thread beside the simulator (more are not used);
     /// with one it runs inline. The report is bit-identical either way.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> OnlineMonitor<'a, A, M> {
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> OnlineMonitor<'a, A> {
         self.parallelism = parallelism;
         self
     }
@@ -371,7 +370,7 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
     /// simulated; their `detected_at` is still the step's own clock. The
     /// final [`MonitorReport`] still contains every alarm; the sink is for
     /// streaming consumers that cannot wait for the run to end.
-    pub fn with_alarm_sink(mut self, sink: impl FnMut(&Alarm) + 'a) -> OnlineMonitor<'a, A, M> {
+    pub fn with_alarm_sink(mut self, sink: impl FnMut(&Alarm) + 'a) -> OnlineMonitor<'a, A> {
         self.sink = Some(Box::new(sink));
         self
     }
@@ -476,12 +475,7 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
                 // pipeline's trailing moving average.
                 let smoothed = tap.recent.iter().sum::<f64>() / tap.recent.len() as f64;
                 tap.series.push((row.time, smoothed));
-                let verdict = if smoothed >= self.detector.threshold() {
-                    Verdict::Normal
-                } else {
-                    Verdict::Anomaly
-                };
-                if verdict == Verdict::Anomaly {
+                if self.detector.verdict(smoothed) == Verdict::Anomaly {
                     let alarm = Alarm {
                         node: tap.node,
                         snapshot_time: row.time,
@@ -502,8 +496,7 @@ impl<'a, A: Agent, M: Classifier> OnlineMonitor<'a, A, M> {
 mod tests {
     use super::*;
     use crate::model::ScoreMethod;
-    use cfa_ml::naive_bayes::NaiveBayesModel;
-    use cfa_ml::NaiveBayes;
+    use cfa_ml::{AnyLearner, NaiveBayes};
     use manet_features::FeatureExtractor;
     use manet_sim::agent::FloodAgent;
     use manet_sim::app::{App, AppCtx, AppData, AppKind, FlowId};
@@ -598,13 +591,14 @@ mod tests {
         let disc = EqualFrequencyDiscretizer::fit(&train_matrix, 5, None, 7);
         let table = disc.transform(&train_matrix).expect("schema");
         let detector = AnomalyDetector::fit(
-            &NaiveBayes::default(),
+            &AnyLearner::Bayes(NaiveBayes::default()),
             &table,
             ScoreMethod::AvgProbability,
             0.2,
         );
 
-        // Post-hoc reference: replay an identical run through the batch path.
+        // Post-hoc reference: replay an identical run through the
+        // interpreted ensemble.
         let mut batch_sim = sim_with_traffic(23, duration);
         batch_sim.run();
         let matrix =
@@ -613,7 +607,7 @@ mod tests {
         let raw: Vec<f64> = batch_table
             .to_rows()
             .iter()
-            .map(|r| detector.score(r))
+            .map(|r| detector.model().score(r, ScoreMethod::AvgProbability))
             .collect();
         let expected_scores = smooth(&raw, smoothing);
         let expected_alarm_times: Vec<f64> = matrix
@@ -665,7 +659,7 @@ mod tests {
         let disc = EqualFrequencyDiscretizer::fit(&m, 5, None, 7);
         let table = disc.transform(&m).expect("schema");
         let det = AnomalyDetector::fit(
-            &NaiveBayes::default(),
+            &AnyLearner::Bayes(NaiveBayes::default()),
             &table,
             ScoreMethod::AvgProbability,
             0.2,
@@ -681,7 +675,7 @@ mod tests {
 
     /// A detector trained on node 5 of a 120 s run whose threshold
     /// passes only the top tenth of training scores, so most rows alarm.
-    fn loose_detector() -> (EqualFrequencyDiscretizer, AnomalyDetector<NaiveBayesModel>) {
+    fn loose_detector() -> (EqualFrequencyDiscretizer, AnomalyDetector) {
         let mut train_sim = sim_with_traffic(11, 120.0);
         train_sim.run();
         let m =
@@ -689,7 +683,7 @@ mod tests {
         let disc = EqualFrequencyDiscretizer::fit(&m, 5, None, 7);
         let table = disc.transform(&m).expect("schema");
         let det = AnomalyDetector::fit(
-            &NaiveBayes::default(),
+            &AnyLearner::Bayes(NaiveBayes::default()),
             &table,
             ScoreMethod::AvgProbability,
             0.9,
@@ -753,7 +747,7 @@ mod tests {
         let disc = EqualFrequencyDiscretizer::fit(&m, 5, None, 1);
         let table = disc.transform(&m).expect("schema");
         let det = AnomalyDetector::fit(
-            &NaiveBayes::default(),
+            &AnyLearner::Bayes(NaiveBayes::default()),
             &table,
             ScoreMethod::AvgProbability,
             0.0,

@@ -45,7 +45,7 @@ const HEADER_BYTES: usize = 22;
 /// the feature layout, the discretization cutpoints, the per-feature
 /// classifier ensemble, the scoring method, the fitted threshold with its
 /// target false-alarm rate, and the score-smoothing window.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ModelArtifact {
     /// The feature layout the ensemble was trained over, when the
     /// canonical 140-feature spec was used (`None` for ad-hoc tables).
@@ -126,11 +126,15 @@ impl Persist for ModelArtifact {
         if smoothing == 0 {
             return Err(PersistError::Malformed("smoothing window must be >= 1"));
         }
-        let detector = AnomalyDetector::with_threshold(
+        // Compiling here, not at first use, is what keeps a checksum-valid
+        // but inconsistent ensemble (sub-models trained on tables of
+        // different widths) a typed error instead of a panic later.
+        let detector = AnomalyDetector::try_with_threshold(
             CrossFeatureModel::from_sub_models(models),
             method,
             threshold,
-        );
+        )
+        .map_err(PersistError::Malformed)?;
         Ok(ModelArtifact {
             spec,
             discretizer,
@@ -152,18 +156,12 @@ impl ModelArtifact {
     ///
     /// Returns [`PersistError::Io`] if the sink fails.
     pub fn save(&self, out: &mut impl Write) -> Result<(), PersistError> {
-        let payload = self.to_bytes();
-        out.write_all(&MAGIC)?;
-        out.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        out.write_all(&(payload.len() as u64).to_le_bytes())?;
-        out.write_all(&fnv1a64(&payload).to_le_bytes())?;
-        out.write_all(&payload)?;
-        out.flush()?;
-        Ok(())
+        write_container(&self.to_bytes(), out)
     }
 
     /// Loads an artifact from a `CFAM` container, validating magic,
-    /// version, payload length, and checksum before decoding.
+    /// version, payload length, and checksum before decoding, and
+    /// compiles the detector's ensemble.
     ///
     /// # Errors
     ///
@@ -172,8 +170,9 @@ impl ModelArtifact {
     /// [`PersistError::UnsupportedVersion`], length over
     /// [`MAX_PAYLOAD_BYTES`] → [`PersistError::TooLarge`], short reads →
     /// [`PersistError::Truncated`], checksum failure →
-    /// [`PersistError::ChecksumMismatch`], and structural damage →
-    /// [`PersistError::Malformed`].
+    /// [`PersistError::ChecksumMismatch`], and structural damage —
+    /// including sub-models that disagree on the ensemble width, which
+    /// would not compile → [`PersistError::Malformed`].
     pub fn load(input: &mut impl Read) -> Result<ModelArtifact, PersistError> {
         let mut header = [0u8; HEADER_BYTES];
         read_exact_or_truncated(input, &mut header)?;
@@ -228,6 +227,17 @@ impl ModelArtifact {
     }
 }
 
+/// Frames `payload` as a `CFAM` container: header, then the payload.
+fn write_container(payload: &[u8], out: &mut impl Write) -> Result<(), PersistError> {
+    out.write_all(&MAGIC)?;
+    out.write_all(&FORMAT_VERSION.to_le_bytes())?;
+    out.write_all(&(payload.len() as u64).to_le_bytes())?;
+    out.write_all(&fnv1a64(payload).to_le_bytes())?;
+    out.write_all(payload)?;
+    out.flush()?;
+    Ok(())
+}
+
 /// `read_exact` that reports how far it got instead of a bare
 /// `UnexpectedEof`.
 fn read_exact_or_truncated(input: &mut impl Read, buf: &mut [u8]) -> Result<(), PersistError> {
@@ -252,7 +262,7 @@ fn read_exact_or_truncated(input: &mut impl Read, buf: &mut [u8]) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfa_ml::{AnyLearner, Learner, NaiveBayes};
+    use cfa_ml::{AnyLearner, Learner, NaiveBayes, NominalTable};
     use manet_features::FeatureMatrix;
 
     fn tiny_artifact() -> ModelArtifact {
@@ -319,11 +329,43 @@ mod tests {
         for v in 0..10 {
             let cont = [f64::from(v), f64::from(v) * 2.0, 30.0 - f64::from(v)];
             artifact.discretizer.transform_row_into(&cont, &mut row);
-            let a = artifact.detector.score_snapshot_with(&row, &mut scratch);
-            let b = loaded.detector.score_snapshot_with(&row, &mut scratch);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-            assert_eq!(a.verdict, b.verdict);
+            let a = artifact.detector.score_with(&row, &mut scratch);
+            let b = loaded.detector.score_with(&row, &mut scratch);
+            assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn sub_models_of_different_widths_are_malformed_not_a_panic() {
+        // A checksum-valid artifact whose last NB sub-model was trained on
+        // four columns while the other two (and the discretizer) have
+        // three: it decodes, but its ensemble cannot compile.
+        let a = tiny_artifact();
+        let wide = NominalTable::new(
+            (0..4).map(|i| format!("f{i}")).collect(),
+            vec![5; 4],
+            (0..40).map(|i| vec![(i % 5) as u8; 4]).collect(),
+        )
+        .unwrap();
+        let learner = AnyLearner::Bayes(NaiveBayes::default());
+        let mut w = Writer::new();
+        w.u8(0);
+        a.discretizer.write_into(&mut w);
+        w.u8(method_tag(a.detector.method()));
+        w.seq_len(3);
+        let subs = a.detector.model().sub_models();
+        subs[0].write_into(&mut w);
+        subs[1].write_into(&mut w);
+        learner.fit(&wide, 2).write_into(&mut w);
+        w.f64(a.fitted.threshold);
+        w.f64(a.fitted.false_alarm_rate);
+        w.u32(a.smoothing);
+        let mut bytes = Vec::new();
+        write_container(&w.into_bytes(), &mut bytes).unwrap();
+        assert!(matches!(
+            ModelArtifact::load(&mut bytes.as_slice()),
+            Err(PersistError::Malformed("sub-model row width mismatch"))
+        ));
     }
 
     #[test]

@@ -53,12 +53,16 @@ pub fn select_threshold(normal_scores: &[f64], false_alarm_rate: f64) -> f64 {
         "false alarm rate must be in [0, 1)"
     );
     let mut sorted: Vec<f64> = normal_scores.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("scores are comparable"));
+    // Total order, so a NaN score sorts last instead of panicking; on the
+    // scores the ensemble produces (in [0, 1], never -0.0) it is the
+    // numeric order.
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     // Allow up to floor(fa * n) normal events below the threshold.
     let budget = (false_alarm_rate * n as f64).floor() as usize;
     // θ = the (budget)-th smallest score: exactly `budget` scores can lie
     // strictly below it (fewer if there are ties).
+    // audit: allow(D006, reason = "n >= 1 is asserted on entry, so budget.min(n - 1) < n")
     sorted[budget.min(n - 1)]
 }
 
@@ -91,6 +95,13 @@ mod tests {
         let theta = select_threshold(&scores, 0.1);
         let flagged = scores.iter().filter(|&&s| s < theta).count();
         assert_eq!(flagged, 0, "identical scores can never exceed the budget");
+    }
+
+    #[test]
+    fn a_nan_score_sorts_last_instead_of_panicking() {
+        let scores = [0.5, f64::NAN, 0.2, 0.9];
+        assert_eq!(select_threshold(&scores, 0.0), 0.2);
+        assert_eq!(select_threshold(&scores, 0.5), 0.9);
     }
 
     #[test]

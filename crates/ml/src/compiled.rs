@@ -389,22 +389,26 @@ impl CompiledEnsemble {
     /// Lowers every sub-model; sub-model *i* is compiled with its own
     /// feature as the class column, matching the interpreted ensemble.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `sub_models` is empty or a sub-model's attribute count
-    /// disagrees with the ensemble width.
-    pub fn compile(sub_models: &[AnyModel]) -> CompiledEnsemble {
-        assert!(!sub_models.is_empty(), "cannot compile an empty ensemble");
+    /// Fails when `sub_models` is empty or a sub-model's attribute count
+    /// disagrees with the ensemble width — both reachable from a decoded
+    /// artifact whose checksum is valid but whose sub-models were trained
+    /// on tables of different widths.
+    pub fn compile(sub_models: &[AnyModel]) -> Result<CompiledEnsemble, &'static str> {
+        if sub_models.is_empty() {
+            return Err("cannot compile an empty ensemble");
+        }
         let models: Vec<CompiledModel> = sub_models
             .iter()
             .enumerate()
             .map(|(i, m)| CompiledModel::compile(m, i))
             .collect();
         let n_features = models.len();
-        for m in &models {
-            assert_eq!(m.row_width, n_features, "sub-model row width mismatch");
+        if models.iter().any(|m| m.row_width != n_features) {
+            return Err("sub-model row width mismatch");
         }
-        CompiledEnsemble { models, n_features }
+        Ok(CompiledEnsemble { models, n_features })
     }
 
     /// Number of features (== sub-models == row width).
@@ -566,7 +570,7 @@ mod tests {
         let sub_models: Vec<AnyModel> = (0..cards.len())
             .map(|i| AnyModel::Bayes(NaiveBayes::default().fit(&t, i)))
             .collect();
-        let ensemble = CompiledEnsemble::compile(&sub_models);
+        let ensemble = CompiledEnsemble::compile(&sub_models).unwrap();
         let rows: Vec<Vec<u8>> = probe_rows(&cards);
         let packed: Vec<u8> = rows.iter().flatten().copied().collect();
         let mut scratch = Vec::new();
@@ -585,6 +589,22 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_sub_model_widths_are_an_error_not_a_panic() {
+        let narrow = table(training_rows(&[2, 2, 2], 40), vec![2, 2, 2]);
+        let wide = table(training_rows(&[2, 2, 2, 2], 40), vec![2, 2, 2, 2]);
+        let sub_models = vec![
+            AnyModel::Bayes(NaiveBayes::default().fit(&narrow, 0)),
+            AnyModel::Bayes(NaiveBayes::default().fit(&narrow, 1)),
+            AnyModel::Bayes(NaiveBayes::default().fit(&wide, 2)),
+        ];
+        assert_eq!(
+            CompiledEnsemble::compile(&sub_models).unwrap_err(),
+            "sub-model row width mismatch"
+        );
+        assert!(CompiledEnsemble::compile(&[]).is_err());
+    }
+
+    #[test]
     #[should_panic(expected = "packed rows width mismatch")]
     fn batch_rejects_ragged_input() {
         let cards = vec![2, 2];
@@ -592,7 +612,7 @@ mod tests {
         let sub_models: Vec<AnyModel> = (0..2)
             .map(|i| AnyModel::Bayes(NaiveBayes::default().fit(&t, i)))
             .collect();
-        let ensemble = CompiledEnsemble::compile(&sub_models);
+        let ensemble = CompiledEnsemble::compile(&sub_models).unwrap();
         let mut out = Vec::new();
         let mut scratch = Vec::new();
         ensemble.score_batch(

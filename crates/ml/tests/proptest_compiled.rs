@@ -95,7 +95,7 @@ proptest! {
         let sub_models: Vec<AnyModel> = (0..table.n_cols())
             .map(|i| learner.fit(&table, i))
             .collect();
-        let ensemble = CompiledEnsemble::compile(&sub_models);
+        let ensemble = CompiledEnsemble::compile(&sub_models).unwrap();
         let mut rows = table.to_rows();
         rows.extend(probes);
         let packed: Vec<u8> = rows.iter().flatten().copied().collect();

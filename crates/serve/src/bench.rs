@@ -11,7 +11,6 @@
 
 use crate::client::{Client, ClientError};
 use crate::protocol::{StatsFrame, DEFAULT_MODEL};
-use crate::server::Engine;
 use crate::train::load_artifact;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,10 +34,6 @@ pub struct BenchConfig {
     pub seed: u64,
     /// Re-score every row in-process and count bitwise mismatches.
     pub verify: bool,
-    /// Execution engine the in-process reference scores with (the served
-    /// engine is whatever the server was started with; both produce the
-    /// same bits, which is exactly what `verify` checks).
-    pub engine: Engine,
     /// Dedicated connections subscribed to the scored model's alarm
     /// stream for the duration of the run (mixed score + subscribe load).
     pub subscribers: usize,
@@ -57,7 +52,6 @@ impl Default for BenchConfig {
             connections: 4,
             seed: 1,
             verify: false,
-            engine: Engine::Compiled,
             subscribers: 0,
             score_as: None,
         }
@@ -85,8 +79,6 @@ pub struct BenchReport {
     /// (always 0 unless the server or artifact is broken; only counted
     /// with `verify`).
     pub mismatches: usize,
-    /// Which engine the in-process reference ran.
-    pub engine: Engine,
     /// Alarm event frames received across all subscriber connections.
     pub alarm_frames: u64,
     /// Whether every subscriber saw strictly increasing sequence numbers
@@ -202,12 +194,9 @@ fn subscriber_loop(addr: &str, model: &str, stop: &AtomicBool) -> SubOutcome {
 /// no connection can be established at all; per-request failures are
 /// counted in the report instead.
 pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
-    let mut trained = load_artifact(&cfg.model)?;
-    if cfg.engine == Engine::Compiled {
-        // The in-process verification reference exercises the same
-        // load -> compile -> score path the server takes.
-        trained.compile();
-    }
+    // The in-process verification reference takes the same load ->
+    // compile -> score path the server does.
+    let trained = load_artifact(&cfg.model)?;
     let n_cols = trained.discretizer().cards().len();
     let disc = trained.discretizer();
     let detector = trained.detector();
@@ -268,9 +257,8 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
                                 if cfg.verify {
                                     for (row, s) in rows.chunks_exact(n_cols).zip(&scored) {
                                         disc.transform_row_into(row, &mut row_u8);
-                                        let local =
-                                            detector.score_snapshot_with(&row_u8, &mut probs);
-                                        if local.score.to_bits() != s.score.to_bits() {
+                                        let local = detector.score_with(&row_u8, &mut probs);
+                                        if local.to_bits() != s.score.to_bits() {
                                             outcome.mismatches += 1;
                                         }
                                     }
@@ -344,7 +332,6 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
         },
         protocol_errors: errors,
         mismatches,
-        engine: cfg.engine,
         alarm_frames: subs.iter().map(|s| s.frames).sum(),
         alarms_in_order: subs.iter().all(|s| s.in_order),
         server,

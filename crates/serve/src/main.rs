@@ -18,12 +18,10 @@ const USAGE: &str = "usage:
                   [--duration SECS] [--seed N] [--classifier c45|ripper|nbc]
                   [--method match|prob]
   cfa-serve serve --model model.cfam [--addr 127.0.0.1:7878] [--workers N]
-                  [--queue N] [--timeout-secs N] [--max-conns N]
-                  [--sub-outbox-kib N] [--engine interpreted|compiled]
+                  [--queue N] [--max-conns N] [--sub-outbox-kib N]
   cfa-serve bench --model model.cfam [--addr 127.0.0.1:7878] [--requests N]
                   [--batch N] [--connections N] [--seed N] [--verify]
                   [--subscribers N] [--score-as NAME]
-                  [--engine interpreted|compiled]
   cfa-serve load --model model.cfam --name NAME [--addr 127.0.0.1:7878]
   cfa-serve unload --name NAME [--addr 127.0.0.1:7878]
   cfa-serve list [--addr 127.0.0.1:7878]
@@ -155,16 +153,12 @@ fn cmd_serve(args: &[String]) -> i32 {
     };
     let parsed = (|| -> Result<(String, ServerConfig), String> {
         let d = ServerConfig::default();
-        let timeout = flag_value(args, "--timeout-secs", 5u64)?;
         let outbox_kib: usize = flag_value(args, "--sub-outbox-kib", d.sub_outbox_cap >> 10)?;
         Ok((
             addr_flag(args)?,
             ServerConfig {
                 workers: flag_value(args, "--workers", d.workers)?,
                 queue_cap: flag_value(args, "--queue", d.queue_cap)?,
-                read_timeout: Duration::from_secs(timeout),
-                write_timeout: Duration::from_secs(timeout),
-                engine: flag_value(args, "--engine", d.engine)?,
                 max_conns: flag_value(args, "--max-conns", d.max_conns)?,
                 sub_outbox_cap: outbox_kib << 10,
             },
@@ -228,7 +222,6 @@ fn cmd_bench(args: &[String]) -> i32 {
             connections: flag_value(args, "--connections", d.connections)?,
             seed: flag_value(args, "--seed", d.seed)?,
             verify: flag_present(args, "--verify"),
-            engine: flag_value(args, "--engine", d.engine)?,
             subscribers: flag_value(args, "--subscribers", d.subscribers)?,
             score_as: (!score_as.is_empty()).then_some(score_as),
         })
@@ -243,13 +236,12 @@ fn cmd_bench(args: &[String]) -> i32 {
     match run_bench(&cfg) {
         Ok(r) => {
             println!(
-                "{} requests ok ({} rows) in {:.3} s — {:.0} req/s, {:.0} rows/s [{} engine]",
+                "{} requests ok ({} rows) in {:.3} s — {:.0} req/s, {:.0} rows/s",
                 r.requests_ok,
                 r.rows,
                 r.elapsed.as_secs_f64(),
                 r.throughput_rps,
-                r.rows_per_sec,
-                r.engine.name()
+                r.rows_per_sec
             );
             println!(
                 "latency µs: p50 {} / p90 {} / p99 {} / max {}",

@@ -21,7 +21,6 @@
 //! compilation, or any socket I/O.
 
 use crate::protocol::{put_name, put_u32, put_u64, valid_name};
-use crate::server::Engine;
 use cfa_core::{AnomalyDetector, ModelArtifact};
 use cfa_ml::AnyModel;
 use manet_features::EqualFrequencyDiscretizer;
@@ -40,8 +39,7 @@ pub struct ModelEntry {
     pub name: String,
     /// The fitted equal-frequency discretizer (continuous row → buckets).
     pub disc: EqualFrequencyDiscretizer,
-    /// The trained detector, compiled iff the server engine is
-    /// [`Engine::Compiled`].
+    /// The trained detector.
     pub detector: AnomalyDetector<AnyModel>,
     /// Row width the model scores.
     pub n_features: usize,
@@ -62,24 +60,21 @@ pub enum RegistryError {
 /// The name → model map, shared by the reactor (LOAD/UNLOAD/LIST/lookup)
 /// and nothing else long-lived — workers hold `Arc<ModelEntry>`s, not
 /// the registry.
+#[derive(Default)]
 pub struct Registry {
-    engine: Engine,
     models: Mutex<BTreeMap<String, Arc<ModelEntry>>>,
 }
 
 impl Registry {
-    /// An empty registry whose entries will score with `engine`.
-    pub fn new(engine: Engine) -> Registry {
-        Registry {
-            engine,
-            models: Mutex::new(BTreeMap::new()),
-        }
+    /// An empty registry.
+    pub fn new() -> Registry {
+        Registry::default()
     }
 
-    /// Registers `artifact` under `name`, compiling it per the server
-    /// engine, and atomically replacing any previous entry. The decode
-    /// and compile run before the map lock is taken; the lock covers
-    /// only the generation read and the `insert`.
+    /// Registers `artifact` under `name`, atomically replacing any
+    /// previous entry. The artifact arrives decoded and compiled
+    /// ([`ModelArtifact::load`] does both), so the map lock covers only
+    /// the generation read and the `insert`.
     ///
     /// # Errors
     ///
@@ -95,14 +90,10 @@ impl Registry {
             return Err(RegistryError::BadName);
         }
         let n_features = artifact.discretizer.cards().len();
-        let mut detector = artifact.detector;
-        if self.engine == Engine::Compiled {
-            detector.compile();
-        }
         let mut entry = ModelEntry {
             name: name.to_string(),
             disc: artifact.discretizer,
-            detector,
+            detector: artifact.detector,
             n_features,
             generation: 1,
         };
@@ -211,12 +202,11 @@ mod tests {
 
     #[test]
     fn insert_get_remove_lifecycle() {
-        let reg = Registry::new(Engine::Compiled);
+        let reg = Registry::new();
         assert!(reg.is_empty());
         let entry = reg.insert_artifact("alpha", tiny_artifact(0.25)).unwrap();
         assert_eq!(entry.generation, 1);
         assert_eq!(entry.n_features, 3);
-        assert!(entry.detector.is_compiled());
         assert!(reg.get("alpha").is_some());
         assert!(reg.get("beta").is_none());
         assert!(reg.remove("alpha"));
@@ -225,7 +215,7 @@ mod tests {
 
     #[test]
     fn swap_bumps_generation_and_replaces_atomically() {
-        let reg = Registry::new(Engine::Interpreted);
+        let reg = Registry::new();
         reg.insert_artifact("m", tiny_artifact(0.25)).unwrap();
         let held = reg.get("m").unwrap();
         let swapped = reg.insert_artifact("m", tiny_artifact(0.75)).unwrap();
@@ -240,7 +230,7 @@ mod tests {
 
     #[test]
     fn bad_names_and_overflow_are_typed() {
-        let reg = Registry::new(Engine::Compiled);
+        let reg = Registry::new();
         assert!(matches!(
             reg.insert_artifact("not ok", tiny_artifact(0.25)),
             Err(RegistryError::BadName)
@@ -264,7 +254,7 @@ mod tests {
 
     #[test]
     fn list_body_is_sorted_and_decodable() {
-        let reg = Registry::new(Engine::Compiled);
+        let reg = Registry::new();
         reg.insert_artifact("zeta", tiny_artifact(0.25)).unwrap();
         reg.insert_artifact("alpha", tiny_artifact(0.25)).unwrap();
         let mut body = Vec::new();

@@ -26,49 +26,13 @@ use crate::protocol::{
 };
 use crate::reactor::{wake, wake_pair, ConnToken, Reactor, WakeStream};
 use crate::registry::{ModelEntry, Registry};
-use cfa_core::ModelArtifact;
+use cfa_core::{AnomalyDetector, ModelArtifact, Verdict};
 use manet_features::EqualFrequencyDiscretizer;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
-
-/// Which execution form workers score with. Scores are bit-identical
-/// either way; [`Engine::Compiled`] is the fast default, `Interpreted`
-/// exists so the before/after is reproducible from the CLI.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// Walk the trained models as stored (pointer-chasing form).
-    Interpreted,
-    /// Lower the ensemble once at artifact load and score batches in
-    /// structure-of-arrays order.
-    #[default]
-    Compiled,
-}
-
-impl Engine {
-    /// The CLI/report name of the engine.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Interpreted => "interpreted",
-            Engine::Compiled => "compiled",
-        }
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        match s {
-            "interpreted" => Ok(Engine::Interpreted),
-            "compiled" => Ok(Engine::Compiled),
-            other => Err(format!("unknown engine {other} (interpreted|compiled)")),
-        }
-    }
-}
 
 /// Tuning knobs for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -84,16 +48,6 @@ pub struct ServerConfig {
     /// Pending-outbox byte cap per subscriber; a slow consumer that
     /// exceeds it is disconnected rather than buffered further.
     pub sub_outbox_cap: usize,
-    /// Retained for CLI compatibility: the reactor runs every socket
-    /// non-blocking, so per-connection socket timeouts no longer apply
-    /// server-side (bounded buffers, `max_conns`, and the slow-consumer
-    /// policy bound what a stalled peer can hold instead).
-    pub read_timeout: Duration,
-    /// Retained for CLI compatibility; see
-    /// [`read_timeout`](ServerConfig::read_timeout).
-    pub write_timeout: Duration,
-    /// Execution form for the scoring hot loop.
-    pub engine: Engine,
 }
 
 impl Default for ServerConfig {
@@ -103,9 +57,6 @@ impl Default for ServerConfig {
             queue_cap: 64,
             max_conns: 4096,
             sub_outbox_cap: 256 << 10,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            engine: Engine::Compiled,
         }
     }
 }
@@ -228,7 +179,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let registry = Registry::new(cfg.engine);
+        let registry = Registry::new();
         if registry
             .insert_artifact(crate::protocol::DEFAULT_MODEL, artifact)
             .is_err()
@@ -428,9 +379,8 @@ fn score_body(
 
 /// Scores one packed request batch: decode `f64`s and discretize every
 /// row into one row-major buffer, push the whole batch through the
-/// detector's batch entry (the compiled structure-of-arrays path when the
-/// registry compiled at load; the interpreted row loop otherwise — same
-/// bits either way), then append `[f64 score][u8 alarm]` per row and
+/// detector's structure-of-arrays batch entry, then append
+/// `[f64 score][u8 alarm]` per row and
 /// collect `(row, score)` for every alarm so the reactor can fan them
 /// out to subscribers. This is the steady-state hot loop — cfa-audit's
 /// D008 zero-alloc rule roots here, so nothing below may allocate once
@@ -439,7 +389,7 @@ fn score_body(
 #[allow(clippy::too_many_arguments)] // flat borrows keep the scratch fields disjoint
 fn score_rows_into(
     disc: &EqualFrequencyDiscretizer,
-    detector: &cfa_core::AnomalyDetector<cfa_ml::AnyModel>,
+    detector: &AnomalyDetector,
     rows_bytes: &[u8],
     n_cols: usize,
     row_f64: &mut Vec<f64>,
@@ -465,14 +415,11 @@ fn score_rows_into(
         rows_u8.extend_from_slice(row_u8);
     }
     detector.score_rows_with(rows_u8, scores, probs);
-    let threshold = detector.threshold();
     for (i, &score) in scores.iter().enumerate() {
         put_f64(resp, score);
-        // Same decision as `score_snapshot_with`: Normal iff
-        // score >= threshold.
-        let alarm = if score >= threshold { 0u8 } else { 1u8 };
-        resp.push(alarm);
-        if alarm == 1 {
+        let alarm = detector.verdict(score) == Verdict::Anomaly;
+        resp.push(u8::from(alarm));
+        if alarm {
             alarms.push((i as u32, score));
         }
     }

@@ -1,16 +1,21 @@
 //! End-to-end tests: a real `Server` on a loopback socket, queried with
 //! the real `Client`, against a persisted-and-reloaded artifact. The
 //! core promise under test: a served score is bit-identical to in-process
-//! `score_snapshot` scoring of the same row — through the default model,
-//! through named `SCORE_AS` models, and across registry hot-swaps.
+//! scoring of the same row — through the default model, through named
+//! `SCORE_AS` models, and across registry hot-swaps — and to the
+//! interpreted ensemble the compiled engine is held to.
 
-use cfa_core::{AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, ScoreMethod};
+use cfa_core::{
+    AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, ScoreMethod, Verdict,
+};
 use cfa_ml::{AnyLearner, NaiveBayes};
 use cfa_serve::protocol::{
     put_u32, DEFAULT_MODEL, OP_PING, OP_SCORE, STATUS_BAD_WIDTH, STATUS_BUSY, STATUS_MALFORMED,
     STATUS_NO_MODEL, STATUS_TOO_LARGE,
 };
-use cfa_serve::{Client, ClientError, Engine, Server, ServerConfig};
+use cfa_serve::{Client, ClientError, Server, ServerConfig};
+use manet_cfa::pipeline::{ClassifierKind, Pipeline};
+use manet_cfa::scenario::{Protocol, Scenario, Transport};
 use manet_features::{EqualFrequencyDiscretizer, FeatureMatrix};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -101,14 +106,14 @@ fn served_scores_are_bit_identical_to_in_process_scoring() {
     let mut probs = Vec::new();
     for (row, s) in rows.chunks_exact(n_cols).zip(&served) {
         reference.discretizer.transform_row_into(row, &mut row_u8);
-        let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
+        let local = reference.detector.score_with(&row_u8, &mut probs);
         assert_eq!(
-            local.score.to_bits(),
+            local.to_bits(),
             s.score.to_bits(),
             "served score must be bit-identical"
         );
         assert_eq!(
-            local.verdict == cfa_core::Verdict::Anomaly,
+            reference.detector.verdict(local) == Verdict::Anomaly,
             s.alarm,
             "alarm bit must match the in-process verdict"
         );
@@ -129,50 +134,103 @@ fn served_scores_are_bit_identical_to_in_process_scoring() {
     assert_eq!(stats.rejected_busy, 0);
 }
 
+/// A full 140-feature detector trained on a short DSR run, as saved.
+fn trained_artifact_bytes(
+    bundles: &[manet_cfa::scenario::TraceBundle],
+    kind: ClassifierKind,
+    method: ScoreMethod,
+) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    Pipeline::new(kind, method)
+        .fit(bundles)
+        .save(&mut bytes)
+        .expect("save to memory");
+    bytes
+}
+
+/// A xorshift64* stream of values in `[0, 50)`: the load generator's
+/// synthetic rows, most of them far outside the training distribution.
+fn synthetic_rows(seed: u64, n: usize) -> Vec<f64> {
+    let mut x = seed;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64 * 50.0
+        })
+        .collect()
+}
+
 #[test]
-fn both_engines_serve_compiled_reference_bits_through_the_protocol() {
-    // The compiled-engine leg of the e2e promise: an artifact that went
-    // CFAM bytes → load → `compile()` scores every row bit-identically to
-    // what either server engine puts on the wire. One reference, two
-    // served engines, all three must agree bitwise.
-    let (_, mut reference) = two_copies();
-    reference.detector.compile();
-    assert!(reference.detector.is_compiled());
+fn served_score_and_alarm_bits_equal_the_interpreted_oracle() {
+    // The served engine is the compiled one; the oracle is the trained
+    // ensemble walked as stored (`CrossFeatureModel::score`, unsmoothed
+    // because serving scores single rows) with θ applied by hand. Two
+    // real detectors — NB/Algorithm 3 as the boot model and C4.5/
+    // Algorithm 2 LOADed by name — score in-distribution rows and
+    // synthetic out-of-distribution ones in batches of 16.
+    let train = Scenario::paper_default(Protocol::Dsr, Transport::Cbr)
+        .with_nodes(12)
+        .with_duration(200.0)
+        .with_seed(11);
+    let bundles = train.run_nodes(&Pipeline::default_train_nodes(train.n_nodes));
+    let models = [
+        (
+            DEFAULT_MODEL,
+            ClassifierKind::NaiveBayes,
+            ScoreMethod::AvgProbability,
+        ),
+        ("c45", ClassifierKind::C45, ScoreMethod::MatchCount),
+    ];
+    let bytes: Vec<Vec<u8>> = models
+        .iter()
+        .map(|&(_, kind, method)| trained_artifact_bytes(&bundles, kind, method))
+        .collect();
+    let boot = ModelArtifact::load(&mut bytes[0].as_slice()).expect("load boot");
+    let n_cols = boot.discretizer.cards().len();
+    let server = Server::bind(boot, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let handle = std::thread::spawn(move || server.run().expect("server run"));
+    let mut client = Client::connect(addr, Duration::from_secs(10)).expect("connect");
+    client.load_model("c45", &bytes[1]).expect("load c45");
 
-    let n_cols = 3;
-    let mut rows = Vec::new();
-    for i in 0..40u32 {
-        let a = f64::from(i % 6);
-        rows.extend_from_slice(&[a * 10.0, f64::from(i % 5) * 8.0, f64::from(i % 2)]);
-    }
-
-    let mut row_u8 = Vec::new();
-    let mut probs = Vec::new();
-    for engine in [Engine::Interpreted, Engine::Compiled] {
-        let (addr, handle) = start_server(ServerConfig {
-            engine,
-            ..ServerConfig::default()
-        });
-        let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
-        let served = client.score_batch(&rows, n_cols).expect("score");
-        assert_eq!(served.len(), 40);
-        for (row, s) in rows.chunks_exact(n_cols).zip(&served) {
-            reference.discretizer.transform_row_into(row, &mut row_u8);
-            let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
-            assert_eq!(
-                local.score.to_bits(),
-                s.score.to_bits(),
-                "{engine:?} server diverges from the compiled reference"
-            );
-            assert_eq!(
-                local.verdict == cfa_core::Verdict::Anomaly,
-                s.alarm,
-                "{engine:?} alarm bit diverges from the compiled verdict"
-            );
+    let mut rows: Vec<f64> = bundles[0]
+        .matrix
+        .rows
+        .iter()
+        .take(32)
+        .flatten()
+        .copied()
+        .collect();
+    rows.extend(synthetic_rows(7, 96 * n_cols));
+    let (mut row_u8, mut alarms) = (Vec::new(), [0usize; 2]);
+    for ((name, _, _), artifact_bytes) in models.iter().zip(&bytes) {
+        let oracle = ModelArtifact::load(&mut artifact_bytes.as_slice()).expect("load oracle");
+        let (model, method) = (oracle.detector.model(), oracle.detector.method());
+        for batch in rows.chunks(16 * n_cols) {
+            let served = client.score_batch_as(name, batch, n_cols).expect("score");
+            assert_eq!(served.len(), batch.len() / n_cols);
+            for (row, s) in batch.chunks_exact(n_cols).zip(&served) {
+                oracle.discretizer.transform_row_into(row, &mut row_u8);
+                let want = model.score(&row_u8, method);
+                assert_eq!(
+                    want.to_bits(),
+                    s.score.to_bits(),
+                    "{name}: served score diverges from the interpreted oracle"
+                );
+                let alarm = want < oracle.fitted.threshold;
+                assert_eq!(alarm, s.alarm, "{name}: alarm bit diverges from θ");
+                alarms[usize::from(alarm)] += 1;
+            }
         }
-        client.shutdown_server().expect("shutdown");
-        handle.join().expect("join server");
     }
+    assert!(
+        alarms[0] > 0 && alarms[1] > 0,
+        "fixture must mix verdicts: {alarms:?}"
+    );
+    client.shutdown_server().expect("shutdown");
+    handle.join().expect("join server");
 }
 
 #[test]
@@ -297,9 +355,9 @@ fn registry_lifecycle_load_list_score_as_unload() {
     let mut probs = Vec::new();
     for ((row, d), v) in rows.chunks_exact(n_cols).zip(&via_default).zip(&via_v2) {
         reference.discretizer.transform_row_into(row, &mut row_u8);
-        let local = reference.detector.score_snapshot_with(&row_u8, &mut probs);
-        assert_eq!(local.score.to_bits(), d.score.to_bits());
-        assert_eq!(local.score.to_bits(), v.score.to_bits());
+        let local = reference.detector.score_with(&row_u8, &mut probs);
+        assert_eq!(local.to_bits(), d.score.to_bits());
+        assert_eq!(local.to_bits(), v.score.to_bits());
     }
 
     // Re-LOAD bumps the generation (hot swap of the same name).

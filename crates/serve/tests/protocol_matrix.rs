@@ -6,10 +6,14 @@
 //! serving fresh connections afterwards — no panic, no hang, no torn
 //! state. A final PING proves the reactor survived the whole matrix.
 
-use cfa_core::{AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, ScoreMethod};
-use cfa_ml::{AnyLearner, NaiveBayes};
+use cfa_core::{
+    AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, ScoreMethod,
+    FORMAT_VERSION, MAGIC,
+};
+use cfa_ml::persist::{fnv1a64, Persist, Writer};
+use cfa_ml::{AnyLearner, Learner, NaiveBayes, NominalTable};
 use cfa_serve::protocol::{
-    put_name, put_u32, OP_LIST, OP_LOAD, OP_SCORE_AS, OP_SUBSCRIBE, STATUS_OK,
+    put_name, put_u32, OP_LIST, OP_LOAD, OP_SCORE_AS, OP_SUBSCRIBE, STATUS_MALFORMED, STATUS_OK,
 };
 use cfa_serve::{Client, Server, ServerConfig};
 use manet_features::{EqualFrequencyDiscretizer, FeatureMatrix};
@@ -172,6 +176,72 @@ fn corrupted_frames_get_typed_answers_and_the_server_survives() {
         stats.protocol_errors > 0,
         "the matrix must have tripped typed errors"
     );
+    client.shutdown_server().expect("shutdown");
+    handle.join().expect("join server");
+}
+
+/// A checksum-valid artifact whose NB sub-models 0–1 were trained on
+/// three columns and sub-model 2 on four: it decodes field by field, but
+/// its ensemble cannot compile.
+fn mismatched_width_artifact() -> Vec<u8> {
+    let good = tiny_artifact();
+    let wide = NominalTable::new(
+        (0..4).map(|i| format!("f{i}")).collect(),
+        vec![4; 4],
+        (0..40).map(|i| vec![(i % 4) as u8; 4]).collect(),
+    )
+    .expect("wide table");
+    let mut w = Writer::new();
+    w.u8(0); // no feature spec
+    good.discretizer.write_into(&mut w);
+    w.u8(1); // Algorithm 3
+    w.seq_len(3);
+    let subs = good.detector.model().sub_models();
+    subs[0].write_into(&mut w);
+    subs[1].write_into(&mut w);
+    AnyLearner::Bayes(NaiveBayes::default())
+        .fit(&wide, 2)
+        .write_into(&mut w);
+    w.f64(0.25);
+    w.f64(0.05);
+    w.u32(1);
+    let payload = w.into_bytes();
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes
+}
+
+#[test]
+fn load_of_an_ensemble_that_cannot_compile_is_malformed_and_the_server_keeps_scoring() {
+    let server = Server::bind(tiny_artifact(), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
+    let addr = server.local_addr().expect("local addr");
+    let handle = std::thread::spawn(move || server.run().expect("server run"));
+
+    let mut load = vec![OP_LOAD];
+    put_name(&mut load, "mismatched");
+    load.extend_from_slice(&mismatched_width_artifact());
+    assert_eq!(
+        fire(addr, &framed(&load), "LOAD"),
+        Some(STATUS_MALFORMED),
+        "an ensemble that cannot compile must be refused with a typed status"
+    );
+
+    let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
+    let scored = client
+        .score_batch(&[1.0, 2.0, 3.0], 3)
+        .expect("the server still scores");
+    assert_eq!(scored.len(), 1);
+    let names: Vec<String> = client
+        .list_models()
+        .expect("list")
+        .into_iter()
+        .map(|m| m.name)
+        .collect();
+    assert_eq!(names, ["default"], "the refused model was not registered");
     client.shutdown_server().expect("shutdown");
     handle.join().expect("join server");
 }

@@ -51,19 +51,16 @@ fn artifact_bytes(bins: usize) -> Vec<u8> {
     buf
 }
 
-/// In-process reference score bits for `rows` under the given artifact.
+/// Reference score bits for `rows` under the given artifact, from the
+/// interpreted ensemble the served compiled engine is held to.
 fn reference_bits(bytes: &[u8], rows: &[f64], n_cols: usize) -> Vec<u64> {
     let artifact = ModelArtifact::load(&mut &bytes[..]).expect("load reference");
+    let (model, method) = (artifact.detector.model(), artifact.detector.method());
     let mut row_u8 = Vec::new();
-    let mut probs = Vec::new();
     rows.chunks_exact(n_cols)
         .map(|row| {
             artifact.discretizer.transform_row_into(row, &mut row_u8);
-            artifact
-                .detector
-                .score_snapshot_with(&row_u8, &mut probs)
-                .score
-                .to_bits()
+            model.score(&row_u8, method).to_bits()
         })
         .collect()
 }

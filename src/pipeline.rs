@@ -7,8 +7,8 @@ use cfa_core::eval::{
     auc_above_diagonal, average_timeseries, optimal_point, recall_precision_curve,
 };
 use cfa_core::{
-    AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact, MonitorReport,
-    OnlineMonitor, Parallelism, PrPoint, ScoreMethod, ScoredEvent,
+    select_threshold, AnomalyDetector, CrossFeatureModel, FittedThreshold, ModelArtifact,
+    MonitorReport, OnlineMonitor, Parallelism, PrPoint, ScoreMethod, ScoredEvent,
 };
 use cfa_ml::persist::PersistError;
 use cfa_ml::{AnyLearner, AnyModel, Learner, NaiveBayes, NominalTable, Ripper, C45};
@@ -289,16 +289,24 @@ impl Pipeline {
         let train_table = disc.transform(&train_matrix).expect("same schema"); // audit: allow(D006, reason = "discretizer was fitted on this very matrix; schemas match by construction")
         let learner = DynLearner(self.classifier);
         let model = CrossFeatureModel::train_with(&learner, &train_table, self.parallelism);
-        let train_scores = smooth(
-            &model.scores_with(&train_table, self.method, self.parallelism),
-            self.smoothing,
+        let detector = AnomalyDetector::calibrate(
+            model,
+            self.method,
+            &train_table,
+            self.parallelism,
+            |scores| select_threshold(&smooth(scores, self.smoothing), self.false_alarm_rate),
         );
-        let fitted = cfa_core::fit_threshold(&train_scores, self.false_alarm_rate);
         TrainedPipeline {
-            disc,
-            detector: AnomalyDetector::with_threshold(model, self.method, fitted.threshold),
-            fitted,
-            smoothing: self.smoothing,
+            artifact: ModelArtifact {
+                spec: Some(FeatureSpec::new()),
+                discretizer: disc,
+                fitted: FittedThreshold {
+                    threshold: detector.threshold(),
+                    false_alarm_rate: self.false_alarm_rate,
+                },
+                detector,
+                smoothing: u32::try_from(self.smoothing.max(1)).unwrap_or(u32::MAX),
+            },
             parallelism: self.parallelism,
         }
     }
@@ -353,14 +361,11 @@ impl Pipeline {
 /// batch matrices ([`TrainedPipeline::score_matrix`]) or to monitor a live
 /// simulation as it runs ([`TrainedPipeline::stream_scenario`]).
 ///
-/// Both paths apply the same trailing moving-average smoothing the
-/// pipeline trained with, so their scores are bit-identical for identical
-/// audit streams.
+/// Both paths score on the detector's compiled engine and apply the same
+/// trailing moving-average smoothing the pipeline trained with, so their
+/// scores are bit-identical for identical audit streams.
 pub struct TrainedPipeline {
-    disc: EqualFrequencyDiscretizer,
-    detector: AnomalyDetector<AnyModel>,
-    fitted: FittedThreshold,
-    smoothing: usize,
+    artifact: ModelArtifact,
     parallelism: Parallelism,
 }
 
@@ -368,43 +373,28 @@ impl TrainedPipeline {
     /// The fitted threshold together with the target false-alarm rate it
     /// was selected for — the pair the artifact writer persists.
     pub fn fitted_threshold(&self) -> FittedThreshold {
-        self.fitted
+        self.artifact.fitted
     }
 
     /// The fitted discretizer.
     pub fn discretizer(&self) -> &EqualFrequencyDiscretizer {
-        &self.disc
+        &self.artifact.discretizer
     }
 
-    /// The trained detector (ensemble + threshold).
+    /// The trained detector (ensemble + compiled engine + threshold).
     pub fn detector(&self) -> &AnomalyDetector<AnyModel> {
-        &self.detector
+        &self.artifact.detector
     }
 
-    /// Lowers the detector's ensemble into the flat compiled engine.
-    /// Afterwards every scoring path of this pipeline — the streaming
-    /// monitor, snapshot scoring, and [`TrainedPipeline::score_matrix_compiled`]
-    /// — executes the compiled form; scores stay bit-identical to the
-    /// interpreted path. Idempotent.
-    pub fn compile(&mut self) {
-        self.detector.compile();
-    }
+    /// Does nothing: the detector is compiled when it is fitted or
+    /// loaded. Kept only because the benchmark under `perfbench/` calls
+    /// it.
+    pub fn compile(&mut self) {}
 
-    /// Packages the trained state as a persistable [`ModelArtifact`]
-    /// (cloning the ensemble; the pipeline remains usable).
+    /// The trained state as a persistable [`ModelArtifact`] (a clone; the
+    /// pipeline remains usable).
     pub fn to_artifact(&self) -> ModelArtifact {
-        let models = self.detector.model().sub_models().to_vec();
-        ModelArtifact {
-            spec: Some(FeatureSpec::new()),
-            discretizer: self.disc.clone(),
-            detector: AnomalyDetector::with_threshold(
-                CrossFeatureModel::from_sub_models(models),
-                self.detector.method(),
-                self.detector.threshold(),
-            ),
-            fitted: self.fitted,
-            smoothing: u32::try_from(self.smoothing.max(1)).unwrap_or(u32::MAX),
-        }
+        self.artifact.clone()
     }
 
     /// Serializes the trained pipeline as a `CFAM` artifact.
@@ -413,17 +403,14 @@ impl TrainedPipeline {
     ///
     /// Returns [`PersistError::Io`] if the sink fails.
     pub fn save(&self, out: &mut impl Write) -> Result<(), PersistError> {
-        self.to_artifact().save(out)
+        self.artifact.save(out)
     }
 
     /// Rebuilds a trained pipeline from a [`ModelArtifact`]. Scores are
     /// bit-identical to the pipeline that produced the artifact.
     pub fn from_artifact(artifact: ModelArtifact, parallelism: Parallelism) -> TrainedPipeline {
         TrainedPipeline {
-            disc: artifact.discretizer,
-            detector: artifact.detector,
-            fitted: artifact.fitted,
-            smoothing: artifact.smoothing as usize,
+            artifact,
             parallelism,
         }
     }
@@ -439,57 +426,31 @@ impl TrainedPipeline {
         Ok(Self::from_artifact(artifact, Parallelism::from_env()))
     }
 
-    /// Scores a continuous feature matrix: discretize, run the ensemble,
-    /// smooth. One smoothed score per row.
+    /// The smoothing window, in snapshots.
+    fn smoothing(&self) -> usize {
+        self.artifact.smoothing as usize
+    }
+
+    /// Scores a continuous feature matrix: discretize, score all rows as
+    /// one packed batch on the compiled engine, smooth. One smoothed
+    /// score per row.
     ///
     /// # Panics
     ///
     /// Panics if `matrix` does not have the training schema.
     pub fn score_matrix(&self, matrix: &FeatureMatrix) -> Vec<f64> {
-        let table = self.disc.transform(matrix).expect("same schema"); // audit: allow(D006, reason = "documented contract: score_matrix requires the training schema")
-        smooth(
-            &self
-                .detector
-                .model()
-                .scores_with(&table, self.detector.method(), self.parallelism),
-            self.smoothing,
-        )
+        let table = self.discretizer().transform(matrix).expect("same schema"); // audit: allow(D006, reason = "documented contract: score_matrix requires the training schema")
+        let (mut scores, mut scratch) = (Vec::new(), Vec::new());
+        self.detector()
+            .score_rows_with(&table.to_rows().concat(), &mut scores, &mut scratch);
+        smooth(&scores, self.smoothing())
     }
 
-    /// [`TrainedPipeline::score_matrix`] through the compiled engine:
-    /// discretize, pack the rows, score the whole batch in
-    /// structure-of-arrays order, smooth. Output is bit-identical to
-    /// [`TrainedPipeline::score_matrix`]. Uses the engine installed by
-    /// [`TrainedPipeline::compile`], or lowers one on the fly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix` does not have the training schema.
+    /// The same as [`TrainedPipeline::score_matrix`], which now always
+    /// runs on the compiled engine. Kept only because the benchmark under
+    /// `perfbench/` calls it.
     pub fn score_matrix_compiled(&self, matrix: &FeatureMatrix) -> Vec<f64> {
-        let table = self.disc.transform(matrix).expect("same schema");
-        let on_the_fly;
-        let engine = match self.detector.compiled() {
-            Some(engine) => engine,
-            None => {
-                on_the_fly = self.detector.model().compile();
-                &on_the_fly
-            }
-        };
-        let mut packed = Vec::with_capacity(table.n_rows() * table.n_cols());
-        let mut row = Vec::with_capacity(table.n_cols());
-        for r in 0..table.n_rows() {
-            table.copy_row_into(r, &mut row);
-            packed.extend_from_slice(&row);
-        }
-        let mut scores = Vec::new();
-        let mut scratch = Vec::new();
-        engine.score_batch(
-            &packed,
-            self.detector.method().into(),
-            &mut scores,
-            &mut scratch,
-        );
-        smooth(&scores, self.smoothing)
+        self.score_matrix(matrix)
     }
 
     /// Runs `scenario` under an [`OnlineMonitor`] watching its monitored
@@ -509,22 +470,16 @@ impl TrainedPipeline {
     pub fn stream_scenario(&self, scenario: &Scenario) -> MonitorReport {
         let monitored = [scenario.monitored];
         scenario.validate_vantages(&monitored);
+        let (detector, disc) = (self.detector(), self.discretizer());
         match scenario.protocol {
-            Protocol::Dsr => {
-                OnlineMonitor::new(scenario.build_dsr(), &monitored, &self.detector, &self.disc)
-                    .with_smoothing(self.smoothing)
-                    .with_parallelism(self.parallelism)
-                    .run()
-            }
-            Protocol::Aodv => OnlineMonitor::new(
-                scenario.build_aodv(),
-                &monitored,
-                &self.detector,
-                &self.disc,
-            )
-            .with_smoothing(self.smoothing)
-            .with_parallelism(self.parallelism)
-            .run(),
+            Protocol::Dsr => OnlineMonitor::new(scenario.build_dsr(), &monitored, detector, disc)
+                .with_smoothing(self.smoothing())
+                .with_parallelism(self.parallelism)
+                .run(),
+            Protocol::Aodv => OnlineMonitor::new(scenario.build_aodv(), &monitored, detector, disc)
+                .with_smoothing(self.smoothing())
+                .with_parallelism(self.parallelism)
+                .run(),
         }
     }
 }

@@ -10,7 +10,8 @@
 //! event ordering, feature extraction, or model fitting eventually shakes
 //! out as a `to_bits` mismatch here.
 
-use manet_cfa::core::{Parallelism, ScoreMethod};
+use manet_cfa::core::{fit_threshold, Parallelism, ScoreMethod};
+use manet_cfa::features::FeatureMatrix;
 use manet_cfa::fleet::{run_fleet, FleetSpec};
 use manet_cfa::pipeline::{ClassifierKind, Pipeline, TrainedPipeline};
 use manet_cfa::scenario::{Attack, Protocol, Scenario, Transport};
@@ -114,14 +115,30 @@ fn scores_survive_a_save_load_round_trip_bit_identically() {
     );
 }
 
+/// Trailing moving average over `k` scores, in the float order the
+/// pipeline smooths with.
+fn smooth(scores: &[f64], k: usize) -> Vec<f64> {
+    (0..scores.len())
+        .map(|i| {
+            let w = &scores[i.saturating_sub(k.max(1) - 1)..=i];
+            w.iter().sum::<f64>() / w.len() as f64
+        })
+        .collect()
+}
+
+fn bits(scores: Vec<f64>) -> Vec<u64> {
+    scores.into_iter().map(f64::to_bits).collect()
+}
+
 #[test]
 fn compiled_pipeline_scores_are_bit_identical_to_interpreted() {
     // The compiled-engine leg of the shaker: over full attack pipelines
-    // (train on normal traffic, score a blackhole scenario), the flat
-    // compiled execution path must reproduce the interpreted ensemble
-    // `to_bits`-exactly — for every model family, both scoring methods,
-    // and both routing protocols, whether the engine is installed by
-    // `compile()` or lowered on the fly.
+    // (train on normal traffic, score a blackhole scenario), every score
+    // the pipeline produces comes from the compiled engine, and it must
+    // reproduce the interpreted ensemble walked as stored — the oracle —
+    // `to_bits`-exactly, for every model family, both scoring methods,
+    // and both routing protocols. So must θ, which the pipeline picks
+    // from its own compiled scores of the training rows.
     let combos: &[(Protocol, &[(ClassifierKind, ScoreMethod)])] = &[
         (
             Protocol::Aodv,
@@ -138,33 +155,32 @@ fn compiled_pipeline_scores_are_bit_identical_to_interpreted() {
     for &(protocol, kinds) in combos {
         let (train, attacked) = attack_scenario(protocol);
         let train_bundles = train.run_nodes(&Pipeline::default_train_nodes(train.n_nodes));
+        let mut train_matrix = train_bundles[0].matrix.clone();
+        for b in &train_bundles[1..] {
+            train_matrix.rows.extend(b.matrix.rows.iter().cloned());
+            train_matrix.times.extend(b.matrix.times.iter().copied());
+        }
         let bundle = attacked.run();
         for &(kind, method) in kinds {
-            let mut trained = Pipeline::new(kind, method).fit(&train_bundles);
-            let interpreted: Vec<u64> = trained
-                .score_matrix(&bundle.matrix)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            let on_the_fly: Vec<u64> = trained
-                .score_matrix_compiled(&bundle.matrix)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            trained.compile();
-            let compiled: Vec<u64> = trained
-                .score_matrix_compiled(&bundle.matrix)
-                .into_iter()
-                .map(f64::to_bits)
-                .collect();
-            assert!(!interpreted.is_empty());
+            let pipeline = Pipeline::new(kind, method);
+            let trained = pipeline.fit(&train_bundles);
+            let oracle = |matrix: &FeatureMatrix| {
+                let table = trained.discretizer().transform(matrix).expect("schema");
+                let model = trained.detector().model();
+                let raw = model.scores_with(&table, method, Parallelism::serial());
+                smooth(&raw, pipeline.smoothing)
+            };
+            let compiled = bits(trained.score_matrix(&bundle.matrix));
+            assert!(!compiled.is_empty());
             assert_eq!(
-                interpreted, on_the_fly,
-                "{protocol:?}/{kind:?}/{method:?}: on-the-fly compiled scores diverge"
+                compiled,
+                bits(oracle(&bundle.matrix)),
+                "{protocol:?}/{kind:?}/{method:?}: compiled scores diverge from the oracle"
             );
             assert_eq!(
-                interpreted, compiled,
-                "{protocol:?}/{kind:?}/{method:?}: compiled scores diverge"
+                trained.fitted_threshold(),
+                fit_threshold(&oracle(&train_matrix), pipeline.false_alarm_rate),
+                "{protocol:?}/{kind:?}/{method:?}: θ diverges from the oracle's"
             );
         }
     }

@@ -1,9 +1,9 @@
 //! Integration: simulator → features → discretizer → detector, across
 //! crate boundaries.
 
-use manet_cfa::core::{AnomalyDetector, ScoreMethod};
+use manet_cfa::core::{AnomalyDetector, ScoreMethod, Verdict};
 use manet_cfa::features::{EqualFrequencyDiscretizer, FeatureExtractor, N_FEATURES};
-use manet_cfa::ml::naive_bayes::NaiveBayes;
+use manet_cfa::ml::{naive_bayes::NaiveBayes, AnyLearner};
 use manet_cfa::routing::aodv::AodvAgent;
 use manet_cfa::sim::{NodeId, SimConfig, SimTime, Simulator};
 use manet_cfa::traffic::{ConnectionPattern, Transport};
@@ -27,16 +27,17 @@ fn full_chain_produces_a_working_detector() {
     let disc = EqualFrequencyDiscretizer::fit(&matrix, 5, None, 1);
     let table = disc.transform(&matrix).expect("consistent schema");
     let detector = AnomalyDetector::fit(
-        &NaiveBayes::default(),
+        &AnyLearner::Bayes(NaiveBayes::default()),
         &table,
         ScoreMethod::AvgProbability,
         0.05,
     );
     // On its own training data, the false-alarm budget must hold.
+    let mut scratch = Vec::new();
     let alarms = table
         .to_rows()
         .iter()
-        .filter(|r| detector.classify(r) == manet_cfa::core::Verdict::Anomaly)
+        .filter(|r| detector.verdict(detector.score_with(r, &mut scratch)) == Verdict::Anomaly)
         .count();
     assert!(
         alarms as f64 <= 0.05 * table.n_rows() as f64 + 1.0,

@@ -37,6 +37,27 @@ fn assert_stream_matches_batch(pipeline: &Pipeline, train: &Scenario, scenario: 
     let bundle = scenario.run();
     let batch_scores = trained.score_matrix(&bundle.matrix);
 
+    // Both paths score on the compiled engine; the batch scores must also
+    // equal the interpreted ensemble's, smoothed the same way.
+    let table = trained
+        .discretizer()
+        .transform(&bundle.matrix)
+        .expect("schema");
+    let raw =
+        trained
+            .detector()
+            .model()
+            .scores_with(&table, pipeline.method, Parallelism::serial());
+    for (i, &batch) in batch_scores.iter().enumerate() {
+        let w = &raw[i.saturating_sub(pipeline.smoothing - 1)..=i];
+        let oracle = w.iter().sum::<f64>() / w.len() as f64;
+        assert_eq!(
+            batch.to_bits(),
+            oracle.to_bits(),
+            "batch score {i} diverges from the interpreted oracle"
+        );
+    }
+
     // Streaming path: identical simulation scored while it runs.
     let report = trained.stream_scenario(scenario);
     assert_eq!(report.series.len(), 1);
